@@ -24,8 +24,12 @@ rows accumulate across engines/runs) and ``--smoke`` appends one entry
 to the committed ``BENCH_serve.history.json`` — the machine-readable
 throughput trajectory of the serving stack across PRs.  ``--smoke``
 sweeps shards {1, 2, 4} for *both* backends on the smoke fleet
-(results equality-checked against one-shot batch every time) and
-enforces the 1M service-path contract on the full contract fleet.
+(results equality-checked against one-shot batch every time), times
+the one-shot path on the contract fleet whole and stage by stage
+(sort, intern, cold and warm dispatch) and enforces the 1M
+service-path contract on the full contract fleet.  Each figure in a
+history entry names its own path, backend, shards, instances and
+events, and the entry records ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from bench_io import append_history, record_bench_rows
 
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
 from repro.runtime import FleetSimulator, ModuleAssignment
+from repro.runtime.fleet import _time_ordered
 from repro.service import FleetSupervisor, events_to_injects
 
 #: The contract fleet: 10k ATM server instances, the Table I testbench
@@ -97,12 +102,67 @@ def _batch_row(instances: int, cells: int, rounds: int = 2):
     events = result.stats.events_processed
     row = {
         "path": "batch",
+        "backend": "in-process",
         "instances": instances,
         "events": events,
         "seconds": best,
         "events_per_second": events / best,
     }
     return row, result
+
+
+def _batch_stages_row(instances: int, cells: int, rounds: int = 3):
+    """Where a one-shot run spends its time, stage by stage.
+
+    Times the steps ``FleetSimulator.run`` takes — sort each stream by
+    time, intern every event, serve the packed columns through
+    ``dispatch_ordered`` — one by one.  The first round dispatches on a
+    fresh kernel (cold cascade memo), later rounds after ``reset``
+    (warm memo, what the warm service path sees); every stage keeps its
+    best round.
+    """
+    net, assignment, streams = _workload(instances, cells)
+    kernel = FleetSimulator(net, assignment).kernel
+    best = {}
+    for round_k in range(rounds):
+        started = time.perf_counter()
+        events, rows = _time_ordered(streams)
+        sorted_at = time.perf_counter()
+        sources, signatures = kernel.prepare_events(events)
+        interned_at = time.perf_counter()
+        kernel.reset(len(streams))
+        kernel.dispatch_ordered(rows, sources, signatures)
+        dispatched_at = time.perf_counter()
+        memo = "cold" if round_k == 0 else "warm"
+        for key, seconds in (
+            ("sort_seconds", sorted_at - started),
+            ("intern_seconds", interned_at - sorted_at),
+            (f"dispatch_{memo}_seconds", dispatched_at - interned_at),
+        ):
+            best[key] = min(best.get(key, seconds), seconds)
+    return {
+        "path": "batch-stages",
+        "backend": "in-process",
+        "instances": instances,
+        "events": len(events),
+        **best,
+    }
+
+
+def _print_stages(label: str, row) -> None:
+    events = row["events"]
+    print(
+        f"{label}: {row['instances']} instances, {events} events: "
+        + ", ".join(
+            f"{stage} {row[key]:.3f}s ({events / row[key]:,.0f} events/s)"
+            for stage, key in (
+                ("sort", "sort_seconds"),
+                ("intern", "intern_seconds"),
+                ("dispatch cold", "dispatch_cold_seconds"),
+                ("dispatch warm", "dispatch_warm_seconds"),
+            )
+        )
+    )
 
 
 def _service_row(
@@ -275,7 +335,7 @@ def _smoke() -> int:
     batch_row, batch_result = _batch_row(SMOKE_INSTANCES, SMOKE_CELLS, rounds=1)
     rows = [batch_row]
     _print_row("smoke serve batch", batch_row)
-    sweep = {}
+    sweep = []
     for backend in ("async", "process"):
         for shards in SMOKE_SHARD_SWEEP:
             row, result = _service_row(
@@ -283,8 +343,15 @@ def _smoke() -> int:
             )
             _assert_equal(batch_result, result)
             rows.append(row)
-            sweep[f"{backend}_x{shards}"] = row["events_per_second"]
+            sweep.append(row)
             _print_row(f"smoke serve {backend} x{shards} (identical)", row)
+
+    # the one-shot path on the contract fleet, whole and stage by stage
+    contract_batch, _ = _batch_row(CONTRACT_INSTANCES, CONTRACT_CELLS)
+    stages = _batch_stages_row(CONTRACT_INSTANCES, CONTRACT_CELLS)
+    rows.extend([contract_batch, stages])
+    _print_row("smoke serve contract (batch, warm)", contract_batch)
+    _print_stages("smoke serve contract (batch stages)", stages)
 
     # the enforced 1M service-path contract, on the full contract fleet
     contract_row, contract_result = _service_row(
@@ -331,13 +398,21 @@ def _smoke() -> int:
 
     path = record_bench_rows("serve", rows)
     print(f"smoke serve: rows recorded -> {path}")
+    # every figure carries its own fleet size, path and backend
+    figure_keys = (
+        "path", "backend", "shards", "instances", "events", "events_per_second"
+    )
+
+    def figure(row):
+        return {key: row[key] for key in figure_keys if key in row}
+
     entry = {
-        "instances": CONTRACT_INSTANCES,
-        "events": contract_row["events"],
-        "batch_events_per_second": batch_row["events_per_second"],
-        "service_events_per_second": contract_row["events_per_second"],
-        "service_shards": contract_row["shards"],
-        "smoke_sweep": sweep,
+        "cpu_count": os.cpu_count(),
+        "batch": figure(contract_batch),
+        "batch_stages": stages,
+        "service": figure(contract_row),
+        "smoke_batch": figure(batch_row),
+        "smoke_sweep": [figure(row) for row in sweep],
         "process_scaling": scaling,
     }
     history = append_history("serve", entry)

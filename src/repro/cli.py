@@ -357,9 +357,14 @@ def _validate_serve_args(
         parser.error("argument --shards: must be positive")
     if args.workers > 1 and service_mode:
         parser.error(
-            "argument --workers: shards the one-shot batch run over a "
-            "process pool; use --shards (and --backend process) for the "
-            "always-on service"
+            "argument --workers: serves the one-shot batch run through a "
+            "drained process-backend supervisor; use --shards (and "
+            "--backend process) for the always-on service"
+        )
+    if args.workers > 1 and args.engine != ENGINE_COMPILED:
+        parser.error(
+            "argument --workers: worker shards run the compiled kernel; "
+            "legacy is only available in-process (--workers 1)"
         )
     if args.inbox_limit is not None and args.inbox_limit <= 0:
         parser.error("argument --inbox-limit: must be positive")
@@ -867,8 +872,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="shard the one-shot batch run over a process pool; "
-        "1 runs in-process (service mode uses --shards instead)",
+        help="serve the one-shot batch run through a drained "
+        "process-backend supervisor with this many shards (compiled "
+        "engine); 1 runs in-process (service mode uses --shards instead)",
     )
     p_serve.add_argument(
         "--partition",

@@ -11,20 +11,24 @@ the full Python event loop per instance; this module steps all of them
 * :class:`FleetEngine` is the pure stepping **kernel**: it owns the
   ``(N, P)`` int64 marking matrix (one row per instance, one column per
   compiled place id), the batched enabledness/dispatch machinery and
-  the per-instance accounting arrays.  It is driven round by round
-  through :meth:`FleetEngine.dispatch` — one event per listed instance
-  — so the same kernel serves both a one-shot batch run over complete
-  streams and the always-on shard actors of :mod:`repro.service`,
-  which feed it incrementally from their inboxes.  Instances can be
-  added, exported and imported at runtime (the supervisor's
-  work-stealing rebalancer migrates live instances between shards).
+  the per-instance accounting arrays.  Its one serving entry point is
+  :meth:`FleetEngine.dispatch_ordered`: an ordered batch of packed
+  ``(row, source id, signature id)`` events, grouped into occurrence
+  rounds (round *k* carries the *k*-th event of every instance in the
+  batch) with one vectorized dispatch per round.  The one-shot run
+  below and both shard backends of :mod:`repro.service` call it.
+  Instances can be added, exported and imported at runtime (the
+  supervisor's work-stealing rebalancer migrates live instances
+  between shards).
 
-* :class:`FleetSimulator` is the stream **orchestration**: it sorts the
-  per-instance streams, feeds them to one kernel round by round
-  (``run``), loops the string-keyed reactive simulator per instance
-  (``engine="legacy"``, the benchmark baseline) and shards the fleet
-  over a ``multiprocessing`` pool (``run(streams, workers=N)``,
-  contiguous instance chunks merged in order, byte-identical results).
+* :class:`FleetSimulator` is the stream **orchestration**: ``run``
+  sorts each per-instance stream by time, interns every event once
+  through :meth:`SignatureTable.intern_events` and serves the packed
+  columns with one ``dispatch_ordered`` call.  ``run(streams,
+  workers=N)`` serves the same packed batch through a drained
+  process-backed :class:`~repro.service.FleetSupervisor`, and
+  ``engine="legacy"`` loops the string-keyed reactive simulator per
+  instance (the benchmark baseline and differential oracle).
 
 The kernel accelerates the event loop with **memoized cascades**: the
 run-to-quiescence processing of an event is fully deterministic given
@@ -47,6 +51,8 @@ pinned equal by `tests/test_runtime_compiled_differential.py` and
 
 from __future__ import annotations
 
+import asyncio
+import operator
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -213,6 +219,45 @@ class SignatureTable:
             self._raw_index[raw] = sig_id
         return sig_id
 
+    def intern_events(self, events: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        """Intern events into (source id, signature id) int64 columns.
+
+        The package's one per-event interning loop: anything with
+        ``source`` and ``choices`` attributes (an
+        :class:`~repro.runtime.events.Event` or a service ``InjectEvent``)
+        costs one raw-cache hit in the steady state, because the
+        insertion-order ``choices.items()`` tuple doubles as the lookup
+        key and repeated resolutions skip the sort.  An unknown source
+        transition raises :class:`NotEnabledError`.
+        """
+        src_list: List[int] = []
+        sig_list: List[int] = []
+        add_src = src_list.append
+        add_sig = sig_list.append
+        lookup_src = self.cnet.transition_index.get
+        lookup_sig = self._raw_index.get
+        intern_raw = self.intern_raw
+        for event in events:
+            t_id = lookup_src(event.source)
+            if t_id is None:
+                raise NotEnabledError(
+                    f"unknown source transition {event.source!r}"
+                )
+            add_src(t_id)
+            choices = event.choices
+            if choices:
+                raw = tuple(choices.items())
+                sig_id = lookup_sig(raw)
+                if sig_id is None:
+                    sig_id = intern_raw(raw)
+                add_sig(sig_id)
+            else:
+                add_sig(0)
+        return (
+            np.array(src_list, dtype=np.int64),
+            np.array(sig_list, dtype=np.int64),
+        )
+
     def intern(self, signature: Tuple[Tuple[str, str], ...]) -> int:
         """Intern one canonical (sorted) signature, returning its id.
 
@@ -261,9 +306,9 @@ class FleetEngine:
     The engine owns *state* (the marking matrix, per-instance cycle and
     event counters, aggregate accounting) and *mechanism* (batched
     dispatch with memoized cascades); it knows nothing about streams,
-    sockets or actors.  Drive it with :meth:`dispatch` — one event per
-    listed instance row per call — and read the outcome with
-    :meth:`result` or :meth:`stats_snapshot` at any point.
+    sockets or actors.  Drive it with :meth:`dispatch_ordered` — an
+    ordered packed batch, rows may repeat — and read the outcome with
+    :meth:`result` or :meth:`aggregate_stats` at any point.
 
     Parameters
     ----------
@@ -565,6 +610,37 @@ class FleetEngine:
         src_ids, sig_ids = self.prepare_events(events)
         self.dispatch_ids(row_arr, src_ids, sig_ids)
 
+    def dispatch_ordered(
+        self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
+    ) -> None:
+        """Serve an ordered packed batch in which rows may repeat.
+
+        Event ``j`` goes to instance ``rows[j]``, and every instance
+        sees its events in batch order.  The batch is grouped into
+        occurrence *rounds* — round ``k`` carries the ``k``-th event of
+        every instance present — and each round is one vectorized
+        :meth:`dispatch_ids` call.
+        """
+        count = len(rows)
+        if count == 0:
+            return
+        # stable sort by row: each row's events stay in batch order and
+        # form one contiguous run [starts[g], starts[g] + counts[g])
+        order = np.argsort(rows, kind="stable")
+        sorted_rows = rows[order]
+        boundaries = np.empty(count, dtype=bool)
+        boundaries[0] = True
+        np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=boundaries[1:])
+        starts = np.flatnonzero(boundaries)
+        counts = np.diff(np.append(starts, count))
+        max_rounds = int(counts.max())
+        if max_rounds == 1:
+            self.dispatch_ids(rows, src_ids, sig_ids)
+            return
+        for k in range(max_rounds):
+            sel = order[starts[counts > k] + k]
+            self.dispatch_ids(rows[sel], src_ids[sel], sig_ids[sel])
+
     def dispatch_ids(
         self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
     ) -> None:
@@ -584,39 +660,9 @@ class FleetEngine:
     def prepare_events(
         self, events: Sequence[Event]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Intern a batch of events into (source id, signature id) columns.
-
-        The hot loop of the serving path: one raw-cache hit per event in
-        the steady state (the insertion-order ``items()`` tuple doubles
-        as the lookup key, so repeated resolutions skip the sort)."""
-        src_list: List[int] = []
-        sig_list: List[int] = []
-        add_src = src_list.append
-        add_sig = sig_list.append
-        lookup_src = self.cnet.transition_index.get
-        table = self.signatures
-        lookup_sig = table._raw_index.get
-        intern_raw = table.intern_raw
-        for event in events:
-            t_id = lookup_src(event.source)
-            if t_id is None:
-                raise NotEnabledError(
-                    f"unknown source transition {event.source!r}"
-                )
-            add_src(t_id)
-            choices = event.choices
-            if choices:
-                raw = tuple(choices.items())
-                sig_id = lookup_sig(raw)
-                if sig_id is None:
-                    sig_id = intern_raw(raw)
-                add_sig(sig_id)
-            else:
-                add_sig(0)
-        return (
-            np.array(src_list, dtype=np.int64),
-            np.array(sig_list, dtype=np.int64),
-        )
+        """Intern a batch of events into (source id, signature id) columns
+        through the kernel's :class:`SignatureTable`."""
+        return self.signatures.intern_events(events)
 
     # -- memoized path -------------------------------------------------
     def _flush_memo(self) -> None:
@@ -926,10 +972,9 @@ class FleetSimulator:
     """Steps N independent instances of one net as a single batch.
 
     A thin stream-orchestration layer over :class:`FleetEngine`: the
-    same kernel that backs the always-on service
-    (:mod:`repro.service`) is driven here with complete per-instance
-    streams, round by round (round ``k`` dispatches the ``k``-th event
-    of every instance at once).
+    complete per-instance streams are packed into one ordered batch and
+    served through :meth:`FleetEngine.dispatch_ordered`, the same entry
+    point the always-on shards of :mod:`repro.service` use.
 
     Parameters
     ----------
@@ -995,16 +1040,25 @@ class FleetSimulator:
     ) -> FleetResult:
         """Execute one event stream per instance and return the fleet result.
 
-        ``workers > 1`` shards the instances over a multiprocessing pool
-        (identical results, merged in instance order).
+        Each stream is served in time order (stable for equal times).
+        ``workers > 1`` serves the fleet through a drained process-backed
+        :class:`~repro.service.FleetSupervisor` with ``min(workers, N)``
+        shards (identical results, ordered by instance); it needs the
+        compiled engine and runs its own event loop, so call it from
+        synchronous code.
         """
+        if workers > 1 and self.engine == ENGINE_LEGACY:
+            raise ValueError(
+                "workers > 1 serves through process shards of the compiled "
+                "kernel; the legacy engine runs in-process only"
+            )
         started = time.perf_counter()
-        if workers > 1 and len(streams) > 1:
-            result = self._run_pool(streams, workers)
-        elif self.engine == ENGINE_LEGACY:
+        if self.engine == ENGINE_LEGACY:
             result = self._run_legacy(streams)
+        elif workers > 1 and len(streams) > 1:
+            result = asyncio.run(self._run_sharded(streams, workers))
         else:
-            result = self._run_batched(streams)
+            result = self._run_kernel(streams)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -1041,112 +1095,68 @@ class FleetSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Compiled engine: drive the kernel round by round
+    # Compiled engine: one packed batch through the kernel entry point
     # ------------------------------------------------------------------
-    def _run_batched(self, streams: Sequence[Sequence[Event]]) -> FleetResult:
+    def _run_kernel(self, streams: Sequence[Sequence[Event]]) -> FleetResult:
         kernel = self.kernel
-        n = len(streams)
-        kernel.reset(n)
-        lengths = np.array([len(stream) for stream in streams], dtype=np.int64)
-        max_len = int(lengths.max()) if n else 0
-        if max_len == 0:
-            return kernel.result(engine=self.engine)
-        # intern every stream once up front: rounds become pure column
-        # slices of the padded (N, max_len) id matrices
-        src_matrix = np.zeros((n, max_len), dtype=np.int64)
-        sig_matrix = np.zeros((n, max_len), dtype=np.int64)
-        timer = lambda e: e.time  # noqa: E731
-        for i, stream in enumerate(streams):
-            if not stream:
-                continue
-            ordered = sorted(stream, key=timer)
-            src_ids, sig_ids = kernel.prepare_events(ordered)
-            src_matrix[i, : len(ordered)] = src_ids
-            sig_matrix[i, : len(ordered)] = sig_ids
-        for round_k in range(max_len):
-            rows = np.flatnonzero(lengths > round_k)
-            kernel.dispatch_ids(
-                rows, src_matrix[rows, round_k], sig_matrix[rows, round_k]
-            )
+        events, rows = _time_ordered(streams)
+        src_ids, sig_ids = kernel.prepare_events(events)
+        kernel.reset(len(streams))
+        kernel.dispatch_ordered(rows, src_ids, sig_ids)
         return kernel.result(engine=self.engine)
 
-    # ------------------------------------------------------------------
-    # Process-pool sharding
-    # ------------------------------------------------------------------
-    def _run_pool(
+    async def _run_sharded(
         self, streams: Sequence[Sequence[Event]], workers: int
     ) -> FleetResult:
-        import multiprocessing
+        from ..service import FleetSupervisor, InjectBatchPacked
 
-        from ..petrinet.serialization import net_to_json
-
-        effective = min(workers, len(streams))
-        bounds = np.linspace(0, len(streams), effective + 1, dtype=int)
-        chunks = [
-            list(streams[bounds[w] : bounds[w + 1]]) for w in range(effective)
-        ]
-        net_json = net_to_json(self.net)
-        payload = [
-            (
-                net_json,
-                dict(self.assignment.modules),
-                self.cost,
-                self.max_firings_per_event,
-                self.engine,
-                self.on_budget,
-                self.timing,
-                chunk,
-            )
-            for chunk in chunks
-            if chunk
-        ]
-        with multiprocessing.Pool(len(payload)) as pool:
-            parts = pool.map(_run_fleet_chunk, payload)
-        aggregate = ExecutionStats()
-        for part in parts:
-            aggregate.merge(part.stats)
-        return FleetResult(
-            stats=aggregate,
-            instance_cycles=np.concatenate(
-                [part.instance_cycles for part in parts]
-            ),
-            instance_events=np.concatenate(
-                [part.instance_events for part in parts]
-            ),
-            engine=self.engine,
-            instance_ticks=(
-                np.concatenate([part.instance_ticks for part in parts])
-                if self.timing is not None
-                else None
-            ),
+        n = len(streams)
+        supervisor = FleetSupervisor(
+            self.cnet,
+            self.assignment,
+            cost_model=self.cost,
+            max_firings_per_event=self.max_firings_per_event,
+            on_budget=self.on_budget,
+            shards=min(workers, n),
+            backend="process",
+            timing=self.timing,
         )
+        events, rows = _time_ordered(streams)
+        sources, signatures = supervisor.signatures.intern_events(events)
+        await supervisor.start()
+        try:
+            await supervisor.inject(
+                InjectBatchPacked(
+                    instances=rows, sources=sources, signatures=signatures
+                )
+            )
+        finally:
+            merged = await supervisor.stop(drain=True)
+        # instances with empty streams never reach a shard: the merge
+        # orders the ones that did by key, the rest are exact zeros
+        present = np.unique(rows)
+        for name in ("instance_cycles", "instance_events", "instance_ticks"):
+            values = getattr(merged, name)
+            if values is not None:
+                full = np.zeros(n, dtype=np.int64)
+                full[present] = values
+                setattr(merged, name, full)
+        return merged
 
 
-def _run_fleet_chunk(
-    payload: Tuple[
-        str,
-        Dict[str, str],
-        CostModel,
-        int,
-        str,
-        str,
-        Optional[TimingModel],
-        List[Sequence[Event]],
-    ]
-) -> FleetResult:  # pragma: no cover - executed inside pool workers
-    from ..petrinet.serialization import net_from_json
-
-    net_json, modules, cost, max_firings, engine, on_budget, timing, streams = payload
-    simulator = FleetSimulator(
-        net_from_json(net_json),
-        ModuleAssignment(modules=modules),
-        cost,
-        max_firings_per_event=max_firings,
-        engine=engine,
-        on_budget=on_budget,
-        timing=timing,
+def _time_ordered(
+    streams: Sequence[Sequence[Event]],
+) -> Tuple[List[Event], np.ndarray]:
+    """Concatenate the streams, each stably sorted by time, with the
+    instance index of every event (the packed ``rows`` column)."""
+    by_time = operator.attrgetter("time")
+    events: List[Event] = []
+    for stream in streams:
+        events.extend(sorted(stream, key=by_time))
+    lengths = np.fromiter(
+        (len(stream) for stream in streams), dtype=np.int64, count=len(streams)
     )
-    return simulator.run(streams)
+    return events, np.repeat(np.arange(len(streams), dtype=np.int64), lengths)
 
 
 # ----------------------------------------------------------------------

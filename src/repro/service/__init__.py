@@ -8,10 +8,11 @@ kernel:
   zero-copy representations: :class:`InjectBatchPacked` (pre-interned
   int64 id columns) and the binary frame codec the process-backed
   shards speak over their pipes.
-- :mod:`~repro.service.shard` — the shard actor: a bounded inbox
-  draining into one kernel in vectorized batches.
-- :mod:`~repro.service.supervisor` — hash-sharded routing, async or
-  process shard backends, snapshots, work stealing, drain-and-stop.
+- :mod:`~repro.service.shard` — the shard actor: a bounded inbox of
+  packed batches draining into one kernel's ``dispatch_ordered``.
+- :mod:`~repro.service.supervisor` — pack-at-the-boundary, hash-sharded
+  routing, async or process shard backends (a dead worker fails with
+  :class:`ShardFailed`), snapshots, work stealing, drain-and-stop.
 - :mod:`~repro.service.ingest` — the LDJSON socket server and the
   socket/in-process clients.
 - :mod:`~repro.service.telemetry` — versioned JSON-lines telemetry.
@@ -46,7 +47,12 @@ from .messages import (
     encode_message,
 )
 from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardCore
-from .supervisor import SERVICE_BACKENDS, FleetSupervisor, validate_backend
+from .supervisor import (
+    SERVICE_BACKENDS,
+    FleetSupervisor,
+    ShardFailed,
+    validate_backend,
+)
 from .telemetry import TELEMETRY_SCHEMA, TelemetryWriter, validate_telemetry_record
 
 __all__ = [
@@ -75,6 +81,7 @@ __all__ = [
     "encode_frame_packed",
     "encode_frame_result",
     "FleetSupervisor",
+    "ShardFailed",
     "validate_backend",
     "ShardActor",
     "ShardCore",

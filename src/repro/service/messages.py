@@ -29,7 +29,8 @@ Two *internal* representations ride alongside the public JSON codec:
   their pipes: length-prefixed raw ndarray buffers for packed inject
   batches, with control messages falling back to the JSON wire codec
   inside a ``control`` frame and the final shard result travelling as
-  one pickle frame at shutdown.
+  one pickle frame at shutdown (or, if the worker's kernel raised, the
+  exception it dies with).
 """
 
 from __future__ import annotations
@@ -315,7 +316,8 @@ def encode_frame_control(message: Message) -> bytes:
 
 
 def encode_frame_result(payload: Any) -> bytes:
-    """Wrap the shard's terminal payload (keys + FleetResult) in a frame."""
+    """Wrap the shard's terminal payload (keys + FleetResult, or the
+    exception the worker dies with) in a frame."""
     return _FRAME_MAGIC + bytes([FRAME_RESULT]) + pickle.dumps(payload)
 
 

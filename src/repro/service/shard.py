@@ -8,19 +8,22 @@ windows fill, and the client slows down instead of the server growing
 an unbounded buffer.  ``try_put`` is the non-blocking variant for
 callers that prefer an explicit overflow signal.
 
-The actor loop drains the inbox in batches (everything immediately
-available after the first blocking ``get``) and serves each batch
-through the vectorized kernel: injects are grouped by per-instance
-occurrence index — round *k* carries the *k*-th queued event of every
-instance in the batch — which preserves per-instance event order while
-dispatching whole rounds as single numpy operations.  Control messages
+The inbox carries only packed batches
+(:class:`~repro.service.messages.InjectBatchPacked`, interned once at
+the supervisor boundary) and control items.  The actor loop drains it
+in batches (everything immediately available after the first blocking
+``get``), coalesces the drained packed batches into one, resolves
+instance keys to kernel rows and hands the batch to
+:meth:`~repro.runtime.fleet.FleetEngine.dispatch_ordered`, which
+preserves per-instance event order while dispatching whole occurrence
+rounds as single numpy operations.  Control messages
 (:class:`~repro.service.messages.SnapshotRequest`,
 :class:`~repro.service.messages.Reload`,
 :class:`~repro.service.messages.Shutdown`) ride the same inbox, so
 they observe every event enqueued before them.
 
 :class:`ShardCore` is the event-loop-free heart of the actor (instance
-registry + vectorized serving + migration); the ``multiprocessing``
+registry + packed serving + migration); the ``multiprocessing``
 worker of :mod:`repro.service.supervisor` drives the same core
 synchronously from its pipe, so both shard backends serve events
 identically by construction.
@@ -34,19 +37,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..runtime.events import Event
 from ..runtime.fleet import FleetEngine, FleetResult
 from .messages import (
-    InjectBatch,
     InjectBatchPacked,
-    InjectEvent,
     Reload,
     ShardStats,
     Shutdown,
     SnapshotRequest,
 )
 
-#: Default inbox capacity (messages, where one InjectBatch counts once).
+#: Default inbox capacity (messages, where one packed batch counts once).
 DEFAULT_INBOX_LIMIT = 1024
 
 #: Instance keys in ``[0, _DENSE_KEY_LIMIT)`` resolve to rows through a
@@ -55,7 +55,7 @@ DEFAULT_INBOX_LIMIT = 1024
 _DENSE_KEY_LIMIT = 1 << 24
 
 _ControlItem = Tuple[Union[SnapshotRequest, Reload, Shutdown], "asyncio.Future"]
-_InboxItem = Union[InjectEvent, InjectBatch, InjectBatchPacked, _ControlItem]
+_InboxItem = Union[InjectBatchPacked, _ControlItem]
 
 
 class ShardCore:
@@ -126,65 +126,17 @@ class ShardCore:
     def serve_packed(self, batch: InjectBatchPacked) -> int:
         """Serve one packed batch: zero per-event Python objects.
 
-        Rows are resolved with one gather, per-instance event order is
-        preserved by grouping the batch into occurrence *rounds* (round
-        ``k`` carries the ``k``-th event of every instance present) and
-        each round is a single vectorized kernel dispatch.
+        Instance keys resolve to kernel rows with one gather; the
+        kernel's :meth:`~repro.runtime.fleet.FleetEngine.dispatch_ordered`
+        does the rest.
         """
         count = len(batch)
         if count == 0:
             return 0
         rows = self._rows_for_keys(np.asarray(batch.instances, dtype=np.int64))
-        sources = batch.sources
-        signatures = batch.signatures
-        engine = self.engine
-        # stable sort by row: each row's events stay in arrival order and
-        # form one contiguous run [starts[g], starts[g] + counts[g])
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        boundaries = np.empty(count, dtype=bool)
-        boundaries[0] = True
-        np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=boundaries[1:])
-        starts = np.flatnonzero(boundaries)
-        counts = np.diff(np.append(starts, count))
-        max_rounds = int(counts.max())
-        if max_rounds == 1:
-            engine.dispatch_ids(rows, sources, signatures)
-        else:
-            for k in range(max_rounds):
-                sel = order[starts[counts > k] + k]
-                engine.dispatch_ids(rows[sel], sources[sel], signatures[sel])
+        self.engine.dispatch_ordered(rows, batch.sources, batch.signatures)
         self.events_served += count
         return count
-
-    def serve_injects(self, injects: Sequence[InjectEvent]) -> int:
-        """Serve a batch of injects, vectorized, in per-instance order."""
-        if not injects:
-            return 0
-        engine = self.engine
-        rows_of = self._rows
-        fresh = [m.instance for m in injects if m.instance not in rows_of]
-        if fresh:
-            # preserve first-seen order, drop duplicates within the batch
-            self._register(list(dict.fromkeys(fresh)))
-        # round k = the k-th queued event of each instance in the batch:
-        # per-instance order is preserved, rounds dispatch vectorized
-        occurrence: Dict[int, int] = {}
-        rounds: List[Tuple[List[int], List[Event]]] = []
-        for m in injects:
-            k = occurrence.get(m.instance, 0)
-            occurrence[m.instance] = k + 1
-            if k == len(rounds):
-                rounds.append(([], []))
-            rows, events = rounds[k]
-            rows.append(rows_of[m.instance])
-            events.append(
-                Event(time=m.time, source=m.source, choices=m.choices)
-            )
-        for rows, events in rounds:
-            engine.dispatch(rows, events)
-        self.events_served += len(injects)
-        return len(injects)
 
     def reload(self, reset_stats: bool = True) -> None:
         self.engine.reset_state(reset_stats=reset_stats)
@@ -307,47 +259,25 @@ class ShardActor:
         Every packed batch drained in this pass coalesces into ONE
         concatenated vectorized dispatch instead of many small ones —
         the deeper the backlog, the larger (and cheaper per event) the
-        round.  Plain injects keep their slow path; a run of one kind
-        flushes before the other kind serves so per-instance order
-        holds even when the two representations interleave.
+        rounds.
         """
-        injects: List[InjectEvent] = []
         packed: List[InjectBatchPacked] = []
         controls: List[_ControlItem] = []
         shutdown: Optional[_ControlItem] = None
-
-        def flush_injects() -> None:
-            if injects:
-                self.core.serve_injects(injects)
-                injects.clear()
-
-        def flush_packed() -> None:
-            if packed:
-                self.core.serve_packed(InjectBatchPacked.concat(packed))
-                packed.clear()
-
         for item in batch:
             if isinstance(item, InjectBatchPacked):
-                flush_injects()
                 packed.append(item)
-            elif isinstance(item, InjectEvent):
-                flush_packed()
-                injects.append(item)
-            elif isinstance(item, InjectBatch):
-                flush_packed()
-                injects.extend(item.events)
+                continue
+            message = item[0]
+            if isinstance(message, Shutdown):
+                shutdown = item
+                if not message.drain:
+                    packed = []
+                    break
             else:
-                message = item[0]
-                if isinstance(message, Shutdown):
-                    shutdown = item
-                    if not message.drain:
-                        injects = []
-                        packed = []
-                        break
-                else:
-                    controls.append(item)
-        flush_injects()
-        flush_packed()
+                controls.append(item)
+        if packed:
+            self.core.serve_packed(InjectBatchPacked.concat(packed))
         for message, future in controls:
             if isinstance(message, SnapshotRequest):
                 self._resolve(future, self.stats())

@@ -14,11 +14,21 @@ backends share the same :class:`~repro.service.shard.ShardCore`:
     one-shot batch path.
 
 ``process``
-    Every shard is a ``multiprocessing`` worker process; requests
-    travel its pipe as wire-codec lines
-    (:mod:`repro.service.messages`), replies resolve FIFO futures.
-    Buys real parallelism on multi-core machines at serialization
-    cost.
+    Every shard is a ``multiprocessing`` worker process; packed batches
+    travel its pipe as binary frames (:mod:`repro.service.messages`),
+    control requests as wire-codec lines inside control frames, and
+    replies resolve FIFO futures.  Buys real parallelism on multi-core
+    machines at serialization cost, and is what
+    ``FleetSimulator.run(streams, workers=N)`` runs on.  A worker that
+    dies fails every pending and later request with
+    :class:`ShardFailed` (or with the error the worker reported)
+    instead of hanging.
+
+Every inject is packed at the boundary (:meth:`FleetSupervisor.pack`),
+so both backends carry only :class:`~repro.service.messages.InjectBatchPacked`
+batches plus control messages, and every shard serves them through the
+kernel's one entry point,
+:meth:`~repro.runtime.fleet.FleetEngine.dispatch_ordered`.
 
 **Work stealing** (async backend): :meth:`FleetSupervisor.rebalance`
 — called periodically when ``rebalance_interval`` is set — compares
@@ -48,7 +58,6 @@ import numpy as np
 
 from ..petrinet import PetriNet
 from ..petrinet.compiled import ENGINE_COMPILED, CompiledNet, compile_net
-from ..petrinet.exceptions import NotEnabledError
 from ..runtime.cost import CostModel
 from ..runtime.fleet import FleetEngine, FleetResult, SignatureTable
 from ..runtime.reactive import ModuleAssignment, validate_budget_policy
@@ -210,6 +219,7 @@ class FleetSupervisor:
                 await self._rebalance_task
             except asyncio.CancelledError:
                 pass
+        self._running = False
         parts: List[Tuple[List[int], FleetResult]] = []
         if self.backend == "async":
             futures = []
@@ -220,14 +230,16 @@ class FleetSupervisor:
             parts = list(await asyncio.gather(*futures))
             await asyncio.gather(*self._tasks)
         else:
-            parts = list(
-                await asyncio.gather(
-                    *(handle.shutdown(drain) for handle in self._handles)
-                )
+            replies = await asyncio.gather(
+                *(handle.shutdown(drain) for handle in self._handles),
+                return_exceptions=True,
             )
             for handle in self._handles:
                 await handle.join()
-        self._running = False
+            for reply in replies:
+                if isinstance(reply, BaseException):
+                    raise reply  # a dead shard; every worker is joined
+            parts = list(replies)
         elapsed = time.perf_counter() - self._started_at
         return _merge_results(parts, elapsed)
 
@@ -237,39 +249,20 @@ class FleetSupervisor:
     def pack(self, events: Sequence[InjectEvent]) -> InjectBatchPacked:
         """Intern a batch of string-keyed injects into packed id columns.
 
-        The *only* place the service touches event strings: source names
-        resolve through the compiled transition index and choice
-        resolutions through the shared :class:`SignatureTable`.  In the
+        The *only* place the service touches event strings: sources and
+        choice resolutions intern through the shared table's
+        :meth:`~repro.runtime.fleet.SignatureTable.intern_events`.  In the
         steady state every lookup is a dict hit; the returned ndarray
         batch flows through routing, inboxes and kernels zero-copy.
         Unknown source transitions fail here, at the boundary, rather
         than inside a shard's actor loop.
         """
-        count = len(events)
-        instances = np.empty(count, dtype=np.int64)
-        sources = np.empty(count, dtype=np.int64)
-        signatures = np.empty(count, dtype=np.int64)
-        lookup_src = self.compiled.transition_index.get
-        table = self.signatures
-        lookup_sig = table._raw_index.get
-        intern_raw = table.intern_raw
-        for j, event in enumerate(events):
-            t_id = lookup_src(event.source)
-            if t_id is None:
-                raise NotEnabledError(
-                    f"unknown source transition {event.source!r}"
-                )
-            instances[j] = event.instance
-            sources[j] = t_id
-            choices = event.choices
-            if choices:
-                raw = tuple(choices.items())
-                sig_id = lookup_sig(raw)
-                if sig_id is None:
-                    sig_id = intern_raw(raw)
-                signatures[j] = sig_id
-            else:
-                signatures[j] = 0
+        sources, signatures = self.signatures.intern_events(events)
+        instances = np.fromiter(
+            (event.instance for event in events),
+            dtype=np.int64,
+            count=len(events),
+        )
         return InjectBatchPacked(
             instances=instances, sources=sources, signatures=signatures
         )
@@ -428,9 +421,7 @@ class FleetSupervisor:
             raise RuntimeError("supervisor is not running")
         return self._route_lock
 
-    async def _put(
-        self, shard_id: int, message: Union[InjectEvent, InjectBatch]
-    ) -> None:
+    async def _put(self, shard_id: int, message: InjectBatchPacked) -> None:
         if self.backend == "async":
             await self._actors[shard_id].put(message)
         else:
@@ -479,6 +470,21 @@ def _merge_results(
 # ----------------------------------------------------------------------
 # Process backend
 # ----------------------------------------------------------------------
+class ShardFailed(RuntimeError):
+    """A process shard's worker died; its requests can never complete.
+
+    Raised by every request that was pending when the worker's pipe hit
+    EOF and by every later request to the same shard.  ``exitcode`` is
+    the worker's exit status (negative for a signal, ``None`` if it
+    had not exited yet).
+    """
+
+    def __init__(self, shard: int, exitcode: Optional[int]) -> None:
+        super().__init__(f"shard {shard} worker died (exit code {exitcode})")
+        self.shard = shard
+        self.exitcode = exitcode
+
+
 class _ProcessShardHandle:
     """Parent-side endpoint of one worker-process shard.
 
@@ -490,6 +496,11 @@ class _ProcessShardHandle:
     request ids are needed).  Blocking pipe operations run in worker
     threads (``asyncio.to_thread``) so the event loop never stalls on a
     full pipe buffer.
+
+    A worker that raises sends its exception in the result frame before
+    exiting; a worker that dies silently (killed) closes the pipe.
+    Either way every pending future fails — with the worker's exception
+    or with :class:`ShardFailed` — and so does every later request.
 
     The handle also keeps its worker's :class:`SignatureTable` replica
     consistent: ``_sigs_synced`` is the high-water mark of signature
@@ -518,6 +529,7 @@ class _ProcessShardHandle:
         self._pending: Deque["asyncio.Future"] = deque()
         self._send_lock: Optional[asyncio.Lock] = None
         self._reader: Optional["asyncio.Task"] = None
+        self._failure: Optional[BaseException] = None
 
     async def start(self) -> None:
         import multiprocessing
@@ -540,36 +552,57 @@ class _ProcessShardHandle:
             try:
                 data = await asyncio.to_thread(self._conn.recv_bytes)
             except (EOFError, OSError):
-                break
+                await asyncio.to_thread(self._process.join, 5)
+                self._fail(ShardFailed(self.shard_id, self._process.exitcode))
+                return
             kind, reply = decode_frame(data)
+            if isinstance(reply, Exception):  # the worker's last words
+                self._fail(reply)
+                return
             if self._pending:
                 future = self._pending.popleft()
                 if not future.done():
                     future.set_result(reply)
             if kind == FRAME_RESULT:  # the final (keys, FleetResult)
-                break
+                return
+
+    def _fail(self, error: BaseException) -> None:
+        self._failure = error
+        while self._pending:
+            future = self._pending.popleft()
+            if not future.done():
+                future.set_exception(error)
+
+    async def _send(self, data: bytes) -> None:
+        """Write one frame; a dead worker raises its failure instead."""
+        if self._failure is not None:
+            raise self._failure
+        try:
+            await asyncio.to_thread(self._conn.send_bytes, data)
+        except OSError:
+            # the pipe broke before the reader saw EOF: wait for it
+            await asyncio.shield(self._reader)
+            raise self._failure or ShardFailed(
+                self.shard_id, self._process.exitcode
+            )
 
     async def _request(self, message) -> "asyncio.Future":
         future: "asyncio.Future" = asyncio.get_running_loop().create_future()
         async with self._send_lock:
+            if self._failure is not None:
+                raise self._failure
             self._pending.append(future)
-            await asyncio.to_thread(
-                self._conn.send_bytes, encode_frame_control(message)
-            )
+            await self._send(encode_frame_control(message))
         return future
 
-    async def send(
-        self, message: Union[InjectEvent, InjectBatch, InjectBatchPacked]
-    ) -> None:
+    async def send(self, message: InjectBatchPacked) -> None:
         async with self._send_lock:
-            if isinstance(message, InjectBatchPacked):
-                base = self._sigs_synced
-                defs = self._signatures.definitions(base)
-                data = encode_frame_packed(message, sig_base=base, sig_defs=defs)
-                self._sigs_synced = base + len(defs)
-            else:
-                data = encode_frame_control(message)
-            await asyncio.to_thread(self._conn.send_bytes, data)
+            base = self._sigs_synced
+            defs = self._signatures.definitions(base)
+            await self._send(
+                encode_frame_packed(message, sig_base=base, sig_defs=defs)
+            )
+            self._sigs_synced = base + len(defs)
 
     async def snapshot(self) -> ShardStats:
         return await (await self._request(SnapshotRequest()))
@@ -606,7 +639,8 @@ def _shard_worker(
     any signatures interned since the last frame, replayed here in id
     order so a signature id means the same resolution on both sides of
     the pipe.  Like the async actor, every packed batch drained in one
-    pass coalesces into a single vectorized dispatch.
+    pass coalesces into a single vectorized dispatch.  An exception is
+    sent back in the result frame before the worker exits with it.
     """
     from ..petrinet.compiled import compile_net as _compile
     from ..petrinet.serialization import net_from_json
@@ -623,7 +657,18 @@ def _shard_worker(
         signatures=signatures,
     )
     core = ShardCore(shard_id, engine)
+    try:
+        _serve_pipe(conn, core, signatures)
+    except Exception as error:
+        conn.send_bytes(encode_frame_result(error))
+        raise
+    finally:
+        conn.close()
 
+
+def _serve_pipe(
+    conn, core: ShardCore, signatures: SignatureTable
+) -> None:  # pragma: no cover - runs inside the worker process
     def sync_signatures(sig_base: int, sig_defs) -> None:
         if not sig_defs:
             return
@@ -640,46 +685,28 @@ def _shard_worker(
                     f"{assigned}, expected {sig_base + offset}"
                 )
 
+    packed: List[InjectBatchPacked] = []
+
+    def flush() -> None:
+        if packed:
+            core.serve_packed(InjectBatchPacked.concat(packed))
+            packed.clear()
+
     while True:
         try:
             frames = [decode_frame(conn.recv_bytes())]
         except EOFError:
-            break
+            return
         while conn.poll():
             frames.append(decode_frame(conn.recv_bytes()))
-        injects: List[InjectEvent] = []
-        packed: List[InjectBatchPacked] = []
-
-        def flush_injects() -> None:
-            if injects:
-                core.serve_injects(injects)
-                injects.clear()
-
-        def flush_packed() -> None:
-            if packed:
-                core.serve_packed(InjectBatchPacked.concat(packed))
-                packed.clear()
-
-        def flush() -> None:
-            flush_injects()
-            flush_packed()
-
-        done = False
         for kind, payload in frames:
             if kind == FRAME_PACKED:
                 batch, sig_base, sig_defs = payload
                 sync_signatures(sig_base, sig_defs)
-                flush_injects()
                 packed.append(batch)
                 continue
             message = payload
-            if isinstance(message, InjectEvent):
-                flush_packed()
-                injects.append(message)
-            elif isinstance(message, InjectBatch):
-                flush_packed()
-                injects.extend(message.events)
-            elif isinstance(message, SnapshotRequest):
+            if isinstance(message, SnapshotRequest):
                 flush()
                 conn.send_bytes(
                     encode_frame_control(core.stats(queue_depth=0))
@@ -692,9 +719,5 @@ def _shard_worker(
                 if message.drain:
                     flush()
                 conn.send_bytes(encode_frame_result(core.result()))
-                done = True
-                break
-        if done:
-            break
+                return
         flush()
-    conn.close()

@@ -281,6 +281,10 @@ class TestServeValidation:
             (["--listen", "localhost"], "expected HOST:PORT"),
             (["--listen", "localhost:notaport"], "bad port"),
             (["--shards", "2", "--engine", "legacy"], "compiled kernel"),
+            (
+                ["--workers", "2", "--engine", "legacy"],
+                "legacy is only available in-process",
+            ),
             (["--family", "warp_drive"], "unknown family"),
             (
                 ["--family", "pipeline", "--partition", "modules"],

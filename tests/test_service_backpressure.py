@@ -31,6 +31,7 @@ from repro.service import (
     FleetSupervisor,
     IngestServer,
     InjectBatch,
+    InjectBatchPacked,
     InjectEvent,
     ShardActor,
     Shutdown,
@@ -48,6 +49,18 @@ ASSIGNMENT = ModuleAssignment.from_groups(MODULE_PARTITION)
 def atm_workload(instances=48, cells=4, seed=23):
     streams = make_fleet_testbench(instances, cells=cells, seed=seed)
     return streams, events_to_injects(streams)
+
+
+def packed_tick(engine, instance):
+    """One ``t_tick`` event for ``instance``, interned with the engine's table."""
+    sources, signatures = engine.signatures.intern_events(
+        [InjectEvent(instance=instance, source="t_tick")]
+    )
+    return InjectBatchPacked(
+        instances=np.array([instance], dtype=np.int64),
+        sources=sources,
+        signatures=signatures,
+    )
 
 
 def assert_results_identical(expected, actual):
@@ -68,8 +81,9 @@ class TestInboxOverload:
             runner = asyncio.create_task(actor.run())
             total = 400
             refused = 0
+            ticks = [packed_tick(engine, key) for key in range(8)]
             for i in range(total):
-                event = InjectEvent(instance=i % 8, source="t_tick")
+                event = ticks[i % 8]
                 while not actor.try_put(event):
                     refused += 1
                     assert actor.inbox.qsize() <= 2  # bounded, always

@@ -308,12 +308,24 @@ class TestBinaryFrames:
         assert np.array_equal(rejoined.signatures, batch.signatures)
 
 
+def packed_tick(engine, instance):
+    """One ``t_tick`` event for ``instance``, interned with the engine's table."""
+    sources, signatures = engine.signatures.intern_events(
+        [InjectEvent(instance=instance, source="t_tick")]
+    )
+    return InjectBatchPacked(
+        instances=np.array([instance], dtype=np.int64),
+        sources=sources,
+        signatures=signatures,
+    )
+
+
 class TestShardBackpressure:
     def test_try_put_reports_overflow(self):
         async def go():
             engine = FleetEngine(ATM, ASSIGNMENT)
             actor = ShardActor(0, engine, inbox_limit=2)
-            event = InjectEvent(instance=0, source="t_tick")
+            event = packed_tick(engine, 0)
             assert actor.try_put(event)
             assert actor.try_put(event)
             assert not actor.try_put(event)  # bounded: third enqueue refused
@@ -324,7 +336,7 @@ class TestShardBackpressure:
         async def go():
             engine = FleetEngine(ATM, ASSIGNMENT)
             actor = ShardActor(0, engine, inbox_limit=1)
-            event = InjectEvent(instance=0, source="t_tick")
+            event = packed_tick(engine, 0)
             await actor.put(event)
             blocked = asyncio.create_task(actor.put(event))
             await asyncio.sleep(0.01)
