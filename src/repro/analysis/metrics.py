@@ -21,7 +21,7 @@ from ..baselines.functional_partitioning import (
 from ..codegen.emit_c import EmitOptions, emit_c
 from ..codegen.generator import CodegenOptions, synthesize
 from ..codegen.ir import Program
-from ..petrinet import ENGINE_COMPILED, ENGINE_NATIVE, PetriNet
+from ..petrinet import ENGINE_COMPILED, PetriNet
 from ..qss.scheduler import compute_valid_schedule
 from ..qss.schedule import ValidSchedule
 from ..runtime.cost import CostModel
@@ -99,15 +99,12 @@ def qss_metrics(
     """Synthesize the QSS implementation of ``net`` and measure it.
 
     Returns the metrics together with the generated program (so callers
-    can also inspect or emit the C source).  ``engine`` selects the
-    execution core for both the schedule synthesis and the RTOS/IR
-    interpretation of the testbench.  ``"native"`` runs the testbench
-    on the compiled shared library; the schedule synthesis (an analysis,
-    not an execution) then uses the compiled engine.
+    can also inspect or emit the C source).  ``engine`` selects how the
+    RTOS runs the testbench: the interpreter's lowered opcodes
+    (``"compiled"``) or the compiled shared library (``"native"``).
     """
     if schedule is None:
-        analysis_engine = ENGINE_COMPILED if engine == ENGINE_NATIVE else engine
-        schedule = compute_valid_schedule(net, engine=analysis_engine)
+        schedule = compute_valid_schedule(net)
     program = synthesize(schedule, rate_groups=rate_groups)
     emission = emit_c(
         program, EmitOptions(boilerplate_lines_per_task=TASK_BOILERPLATE_LINES)
@@ -131,18 +128,10 @@ def functional_metrics(
     events: Sequence[Event],
     cost_model: Optional[CostModel] = None,
     name: str = "Functional task partitioning",
-    engine: str = ENGINE_COMPILED,
 ) -> ImplementationMetrics:
-    """Measure the one-task-per-module baseline implementation.
-
-    ``engine`` selects the reactive simulator core executing the
-    testbench (identical stats on either).  The baseline interprets the
-    net directly — there is no synthesized C to compile — so
-    ``"native"`` maps to the compiled simulator core.
-    """
+    """Measure the one-task-per-module baseline implementation."""
     implementation = build_functional_implementation(net, modules)
-    simulator_engine = ENGINE_COMPILED if engine == ENGINE_NATIVE else engine
-    stats = implementation.run(events, cost_model, engine=simulator_engine)
+    stats = implementation.run(events, cost_model)
     return ImplementationMetrics(
         name=name,
         tasks=implementation.task_count,
@@ -163,15 +152,13 @@ def build_comparison(
 ) -> ComparisonTable:
     """Build the full Table I comparison for ``net``.
 
-    ``engine`` selects the execution core for both rows: the QSS
-    schedule synthesis and the baseline's reactive simulation.
+    ``engine`` selects how the QSS row's synthesized code runs (see
+    :func:`qss_metrics`); the baseline row interprets the net.
     """
     table = ComparisonTable(title=title)
     qss_row, _ = qss_metrics(net, events, cost_model, engine=engine)
     table.rows.append(qss_row)
-    table.rows.append(
-        functional_metrics(net, modules, events, cost_model, engine=engine)
-    )
+    table.rows.append(functional_metrics(net, modules, events, cost_model))
     return table
 
 

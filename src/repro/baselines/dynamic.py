@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..petrinet import ENGINE_COMPILED, PetriNet
+from ..petrinet import PetriNet
 from ..runtime.cost import CostModel
 from ..runtime.events import Event
 from ..runtime.reactive import ModuleAssignment, ReactiveNetSimulator
@@ -48,14 +48,10 @@ class DynamicImplementation:
         self,
         events: Sequence[Event],
         cost_model: Optional[CostModel] = None,
-        engine: str = ENGINE_COMPILED,
     ) -> ExecutionStats:
-        """Execute the testbench; ``engine`` selects the simulator core."""
+        """Execute the testbench on the micro-task implementation."""
         assignment = ModuleAssignment.one_task_per_transition(self.net)
-        simulator = ReactiveNetSimulator(
-            self.net, assignment, cost_model, engine=engine
-        )
-        return simulator.run(events)
+        return ReactiveNetSimulator(self.net, assignment, cost_model).run(events)
 
 
 def build_dynamic_implementation(net: PetriNet) -> DynamicImplementation:

@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..codegen.emit_c import EmitOptions, emit_c
 from ..codegen.generator import CodegenOptions, generate_task_program
 from ..codegen.ir import Program
-from ..petrinet import ENGINE_COMPILED, PetriNet
+from ..petrinet import PetriNet
 from ..qss.tasks import TaskDefinition
 from ..runtime.cost import CostModel
 from ..runtime.events import Event
@@ -76,19 +76,10 @@ class FunctionalImplementation:
         self,
         events: Sequence[Event],
         cost_model: Optional[CostModel] = None,
-        engine: str = ENGINE_COMPILED,
     ) -> ExecutionStats:
-        """Execute the testbench on the multi-task implementation.
-
-        ``engine`` selects the reactive simulator core
-        (``"compiled"`` integer ids, default, or ``"legacy"`` string
-        dicts); the stats are identical either way.
-        """
+        """Execute the testbench on the multi-task implementation."""
         assignment = ModuleAssignment.from_groups(self.modules)
-        simulator = ReactiveNetSimulator(
-            self.net, assignment, cost_model, engine=engine
-        )
-        return simulator.run(events)
+        return ReactiveNetSimulator(self.net, assignment, cost_model).run(events)
 
 
 def _module_entry_transitions(

@@ -24,18 +24,18 @@ Every subcommand returns a process exit code of 0 on success, 1 when the
 analysis reports a negative result (e.g. the net is not schedulable) and
 2 on usage errors, so the tool composes with shell scripts and CI jobs.
 
-Analysis subcommands accept ``--engine`` (default ``compiled``):
-``compiled`` runs on the integer-indexed
-:class:`~repro.petrinet.compiled.CompiledNet` core and ``legacy`` on
-the original dict-based token game.  The state-space subcommands
-(``analyse``, ``synthesize``, ``gallery``, ``corpus``) additionally
-accept ``frontier`` — the batched vectorized exploration engine of
-:mod:`repro.petrinet.frontier` — and the execution subcommand
-(``atm-table1``) accepts ``native`` — the synthesized C compiled to a
-shared library (:mod:`repro.codegen.native`), falling back to
-``compiled`` with a warning when no C compiler is available.  All
-engines produce identical verdicts; the flag exists so each path can
-be exercised (and timed) from the shell.
+Subcommands accept ``--engine`` (default ``compiled``, the
+integer-indexed :class:`~repro.petrinet.compiled.CompiledNet` core).
+The state-space subcommands (``analyse``, ``synthesize``, ``gallery``,
+``corpus``) also accept ``legacy`` — the original dict-based token
+game — and ``frontier`` — the batched vectorized exploration engine of
+:mod:`repro.petrinet.frontier`; ``atm-table1`` accepts ``native`` — the
+synthesized C compiled to a shared library
+(:mod:`repro.codegen.native`), falling back to ``compiled`` with a
+warning when no C compiler is available.  All engines produce
+identical verdicts; the flag exists so each path can be exercised (and
+timed) from the shell.  ``serve`` and ``atm-table1`` still accept
+``--engine legacy``, with a deprecation warning, and run ``compiled``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .gallery import paper_figures
 from .petrinet import (
     ENGINE_COMPILED,
     ENGINE_FRONTIER,
+    ENGINE_LEGACY,
     ENGINE_NATIVE,
     ENGINES,
     EXEC_ENGINES,
@@ -361,11 +362,6 @@ def _validate_serve_args(
             "drained process-backend supervisor; use --shards (and "
             "--backend process) for the always-on service"
         )
-    if args.workers > 1 and args.engine != ENGINE_COMPILED:
-        parser.error(
-            "argument --workers: worker shards run the compiled kernel; "
-            "legacy is only available in-process (--workers 1)"
-        )
     if args.inbox_limit is not None and args.inbox_limit <= 0:
         parser.error("argument --inbox-limit: must be positive")
     if args.inbox_limit is not None and not service_mode:
@@ -379,11 +375,6 @@ def _validate_serve_args(
         parser.error(
             "argument --duration: only meaningful with --listen (the "
             "in-process service drains its generated streams and stops)"
-        )
-    if service_mode and args.engine != ENGINE_COMPILED:
-        parser.error(
-            "argument --engine: the service runs on the compiled kernel; "
-            "legacy is only available for the one-shot batch run"
         )
     family_name = args.family.partition(":")[0]
     if family_name not in _APP_FAMILIES and family_name not in CORPUS_FAMILIES:
@@ -559,7 +550,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return asyncio.run(
             _serve_service(args, net, assignment, streams, timing)
         )
-    fleet = FleetSimulator(net, assignment, engine=args.engine, timing=timing)
+    fleet = FleetSimulator(net, assignment, timing=timing)
     result = fleet.run(streams, workers=args.workers)
     print(result.describe())
     print(
@@ -641,29 +632,37 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
+_ENGINE_HELP = {
+    ENGINE_COMPILED: "the integer-indexed compiled engine (default)",
+    ENGINE_LEGACY: "the legacy dict-based token game",
+    ENGINE_FRONTIER: "the frontier-batched vectorized state-space engine",
+    ENGINE_NATIVE: "the synthesized C compiled to a shared library (falls "
+    "back to compiled with a warning when no C compiler exists)",
+}
+
+
+def _legacy_alias(engine: str) -> str:
+    """``--engine legacy`` where the dict-based path is a test oracle now:
+    accepted so old scripts keep working, with one warning."""
+    if engine == ENGINE_LEGACY:
+        print(
+            "warning: --engine legacy is deprecated here; running compiled",
+            file=sys.stderr,
+        )
+        return ENGINE_COMPILED
+    return engine
+
+
 def _add_engine_flag(
     parser: argparse.ArgumentParser, engines: tuple = ENGINES
 ) -> None:
-    if ENGINE_FRONTIER in engines:
-        help_text = (
-            "execution core: the integer-indexed compiled engine "
-            "(default), the legacy dict-based token game, or the "
-            "frontier-batched vectorized state-space engine"
-        )
-    elif ENGINE_NATIVE in engines:
-        help_text = (
-            "execution core: the integer-indexed compiled engine "
-            "(default), the legacy dict-based token game, or the "
-            "synthesized C compiled to a shared library (falls back "
-            "to compiled with a warning when no C compiler exists)"
-        )
-    else:
-        help_text = (
-            "execution core: the integer-indexed compiled engine "
-            "(default) or the legacy dict-based token game"
-        )
+    help_text = "execution core: " + ", ".join(_ENGINE_HELP[e] for e in engines)
+    deprecated = ENGINE_LEGACY not in engines
+    if deprecated:
+        help_text += "; 'legacy' is a deprecated alias of compiled"
     parser.add_argument(
         "--engine",
+        type=_legacy_alias if deprecated else str,
         choices=engines,
         default=ENGINE_COMPILED,
         help=help_text,

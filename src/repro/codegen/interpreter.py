@@ -24,11 +24,10 @@ representation shift as :class:`repro.petrinet.compiled.CompiledNet` for
 the analysis side.  The public, name-keyed ``counters`` view is
 preserved for diagnostics and tests.
 
-Like the analyses, the executor takes ``engine="compiled"`` (default)
-or ``engine="legacy"``: the legacy engine skips the lowering and
-tree-walks the IR statement objects against a name-keyed counter dict —
-the pre-lowering execution style, kept for cross-checking (both charge
-identical cycles and fire identical sequences).
+The pre-lowering execution style — tree-walking the IR statement
+objects against a name-keyed counter dict — is the test oracle
+:class:`repro.reference.TaskExecutor`; both charge identical cycles and
+fire identical sequences.
 
 ``engine="native"`` leaves interpretation behind entirely: the emitted
 C is compiled to a shared library and the activations run the paper's
@@ -48,7 +47,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..petrinet.compiled import (
     ENGINE_COMPILED,
-    ENGINE_LEGACY,
     ENGINE_NATIVE,
     EXEC_ENGINES,
     validate_engine,
@@ -126,9 +124,8 @@ class TaskExecutor:
     With ``engine="compiled"`` (default) the counting variables are held
     as a flat list of ints indexed by a dense place id (the task's
     compiled marking) and the IR is lowered once into integer opcodes;
-    with ``engine="legacy"`` the IR statement objects are tree-walked
-    against a name-keyed counter dict.  The name-keyed :attr:`counters`
-    view is available either way.
+    ``engine="native"`` runs the compiled shared library.  The
+    name-keyed :attr:`counters` view is available either way.
     """
 
     def __init__(
@@ -157,9 +154,6 @@ class TaskExecutor:
                 self.native_backend = backend
                 return
             self.active_engine = ENGINE_COMPILED
-        if self.active_engine == ENGINE_LEGACY:
-            self._state: Dict[str, int] = dict(task.counters)
-            return
         # dense index over the task's counting variables (declared
         # counters first, then any place only referenced by statements)
         self._place_ids: Dict[str, int] = {
@@ -186,12 +180,6 @@ class TaskExecutor:
         if self.native_backend is not None:
             return self.native_backend.counters
         declared = self.task.counters
-        if self.active_engine == ENGINE_LEGACY:
-            return {
-                place: value
-                for place, value in self._state.items()
-                if place in declared or value
-            }
         return {
             place: self._values[index]
             for place, index in self._place_ids.items()
@@ -203,9 +191,6 @@ class TaskExecutor:
         if self.native_backend is not None:
             self.native_backend.counters = values
             return
-        if self.active_engine == ENGINE_LEGACY:
-            self._state = dict(values)
-            return
         self._values = [0] * len(self._place_ids)
         for place, value in values.items():
             self._values[self._place_ids[place]] = value
@@ -214,8 +199,6 @@ class TaskExecutor:
         """Reset counters to the initial marking."""
         if self.native_backend is not None:
             self.native_backend.reset()
-        elif self.active_engine == ENGINE_LEGACY:
-            self._state = dict(self.task.counters)
         else:
             self._values = list(self._initial)
 
@@ -224,13 +207,8 @@ class TaskExecutor:
         if self.native_backend is not None:
             return self.native_backend.activate(resolve_choice)
         result = ActivationResult(task=self.task.name, cycles=0)
-        run = (
-            self._run_fragment_ir
-            if self.active_engine == ENGINE_LEGACY
-            else self._run_fragment
-        )
         for entry in self.task.entry_fragments:
-            run(entry, resolve_choice, result, depth=0)
+            self._run_fragment(entry, resolve_choice, result, depth=0)
         return result
 
     def activate_many(
@@ -239,9 +217,8 @@ class TaskExecutor:
         """Run one activation per ``{place: transition}`` map.
 
         The native tier executes the whole batch in a single library
-        call; the interpreter engines loop over
-        :func:`make_resolver`-driven activations.  Results are
-        engine-identical either way.
+        call; the interpreter loops over :func:`make_resolver`-driven
+        activations.  Results are engine-identical either way.
         """
         if self.native_backend is not None:
             return self.native_backend.activate_many(choice_maps)
@@ -368,105 +345,14 @@ class TaskExecutor:
             else:  # _OP_CALL
                 self._run_fragment(op[1], resolve_choice, result, depth + 1)
 
-    # -- legacy (tree-walking) execution ------------------------------------
-    def _run_fragment_ir(
-        self,
-        name: str,
-        resolve_choice: ChoiceResolver,
-        result: ActivationResult,
-        depth: int,
-    ) -> None:
-        if depth > self._max_depth:
-            raise ExecutionError(
-                f"fragment recursion exceeded {self._max_depth} levels in "
-                f"task {self.task.name!r}"
-            )
-        result.cycles += self.cost.call_cycles
-        self._run_block_ir(
-            self.task.fragments[name].body, resolve_choice, result, depth
-        )
-
-    def _guard_holds(self, statement: Guarded) -> bool:
-        state = self._state
-        return all(
-            state.get(place, 0) >= threshold
-            for place, threshold in statement.conditions
-        )
-
-    def _run_block_ir(
-        self,
-        block: Block,
-        resolve_choice: ChoiceResolver,
-        result: ActivationResult,
-        depth: int,
-    ) -> None:
-        state = self._state
-        cost = self.cost
-        for statement in block:
-            if isinstance(statement, Comment):
-                continue
-            if isinstance(statement, FireTransition):
-                result.fired.append(statement.transition)
-                result.cycles += statement.cost * cost.transition_cycles
-            elif isinstance(statement, IncCount):
-                state[statement.place] = state.get(statement.place, 0) + statement.amount
-                result.cycles += cost.counter_cycles
-            elif isinstance(statement, DecCount):
-                updated = state.get(statement.place, 0) - statement.amount
-                if updated < 0:
-                    raise ExecutionError(
-                        f"counter for place {statement.place!r} went negative "
-                        f"in task {self.task.name!r}"
-                    )
-                state[statement.place] = updated
-                result.cycles += cost.counter_cycles
-            elif isinstance(statement, Guarded):
-                if statement.kind == "if":
-                    result.cycles += cost.test_cycles
-                    if self._guard_holds(statement):
-                        self._run_block_ir(
-                            statement.body, resolve_choice, result, depth
-                        )
-                else:
-                    iterations = 0
-                    while True:
-                        result.cycles += cost.test_cycles
-                        if not self._guard_holds(statement):
-                            break
-                        self._run_block_ir(
-                            statement.body, resolve_choice, result, depth
-                        )
-                        iterations += 1
-                        if iterations > 1_000_000:
-                            raise ExecutionError(
-                                "while-guard did not terminate; the generated "
-                                "code would loop forever"
-                            )
-            elif isinstance(statement, ChoiceIf):
-                result.cycles += cost.test_cycles
-                chosen = resolve_choice(statement.place)
-                result.choices_taken[statement.place] = chosen
-                for choice, branch in statement.branches:
-                    if choice == chosen:
-                        self._run_block_ir(branch, resolve_choice, result, depth)
-                        break
-                # otherwise the data selected an alternative outside this
-                # task: nothing to do.
-            elif isinstance(statement, CallFragment):
-                self._run_fragment_ir(
-                    statement.fragment, resolve_choice, result, depth + 1
-                )
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown IR statement {statement!r}")
-
 
 class ProgramExecutor:
     """Executes a whole program: one :class:`TaskExecutor` per task.
 
     ``engine`` is forwarded to every :class:`TaskExecutor`: the lowered
-    integer-opcode form (``"compiled"``, default), the direct IR tree
-    walk (``"legacy"``), or the compiled shared library (``"native"``,
-    built once for the whole program so all tasks share one artifact).
+    integer-opcode form (``"compiled"``, default) or the compiled shared
+    library (``"native"``, built once for the whole program so all tasks
+    share one artifact).
     """
 
     def __init__(

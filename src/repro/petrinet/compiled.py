@@ -39,29 +39,29 @@ from .exceptions import NotEnabledError, UnknownNodeError
 from .marking import Marking
 from .net import PetriNet, Place, Transition
 
-#: The two execution engines offered by analyses that were refactored to
-#: run on :class:`CompiledNet`.  ``"compiled"`` is the default; the
-#: ``"legacy"`` dict-based path is kept for cross-checking and for the
-#: compiled-vs-legacy benchmarks.
+#: The engine of every token-game executor (the runtime simulators, the
+#: fleet, the SDF PASS loop): the integer-indexed :class:`CompiledNet`
+#: core.  Their dict-based predecessors are the test oracles of
+#: :mod:`repro.reference`.
 ENGINE_COMPILED = "compiled"
-ENGINE_LEGACY = "legacy"
-ENGINES = (ENGINE_COMPILED, ENGINE_LEGACY)
+ENGINES = (ENGINE_COMPILED,)
 
-#: Third engine offered by the state-space searches (reachability,
-#: coverability, the QSS cycle search): whole BFS frontiers as
-#: ``(N, P)`` numpy matrices instead of one marking at a time.  See
-#: :mod:`repro.petrinet.frontier`.  Analyses that are not searches
-#: (simulators, the runtime) only accept :data:`ENGINES`.
+#: The state-space searches (reachability, coverability, the QSS cycle
+#: search) also keep the ``"legacy"`` dict-based path, for
+#: cross-checking and the compiled-vs-legacy benchmarks, and offer
+#: ``"frontier"``: whole BFS frontiers as ``(N, P)`` numpy matrices
+#: instead of one marking at a time (see :mod:`repro.petrinet.frontier`).
+ENGINE_LEGACY = "legacy"
 ENGINE_FRONTIER = "frontier"
 SEARCH_ENGINES = (ENGINE_COMPILED, ENGINE_LEGACY, ENGINE_FRONTIER)
 
-#: Fourth engine, offered only by the execution tier (the IR
-#: interpreter, the RTOS executive and the metrics built on them): the
+#: The execution tier (the IR interpreter, the RTOS executive and the
+#: metrics built on them) also offers ``"native"``: the
 #: synthesized C is compiled to a shared library and run natively; see
 #: :mod:`repro.codegen.native`.  Falls back to ``"compiled"`` with a
 #: warning when the machine has no C compiler.
 ENGINE_NATIVE = "native"
-EXEC_ENGINES = (ENGINE_COMPILED, ENGINE_LEGACY, ENGINE_NATIVE)
+EXEC_ENGINES = (ENGINE_COMPILED, ENGINE_NATIVE)
 
 #: A marking in compiled form: token counts indexed by place id.
 MarkingTuple = Tuple[int, ...]
@@ -78,9 +78,9 @@ def validate_engine(engine: str, engines: Tuple[str, ...] = ENGINES) -> str:
     """Validate an ``engine=`` argument, returning it unchanged.
 
     ``engines`` is the tuple of engines the calling analysis supports:
-    :data:`ENGINES` (the default) for token-game/runtime paths, or
-    :data:`SEARCH_ENGINES` for the state-space searches that also offer
-    the frontier-batched engine.
+    :data:`ENGINES` (the default), :data:`SEARCH_ENGINES` for the
+    state-space searches or :data:`EXEC_ENGINES` for the execution
+    tier.
     """
     if engine not in engines:
         raise ValueError(

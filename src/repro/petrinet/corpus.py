@@ -601,7 +601,7 @@ def analyse_spec(
                 # of paying for a second exploration through is_live()
                 record.live = live_verdict(graph, set(net.transition_names))
         if analyse == "runtime":
-            _runtime_sweep(spec, record, engine)
+            _runtime_sweep(spec, record)
         elif record.free_choice:
             report = qss_analyse(net, engine=engine)
             record.schedulable = report.schedulable
@@ -616,11 +616,13 @@ def analyse_spec(
     return record
 
 
-def _runtime_sweep(spec: NetSpec, record: CorpusRecord, engine: str) -> None:
+def _runtime_sweep(spec: NetSpec, record: CorpusRecord) -> None:
     """Fill the ``fleet_*`` columns of ``record`` (runtime sweep mode).
 
-    Nets without source transitions cannot be driven by events and keep
-    their ``None`` fleet columns.
+    The fleet is a token-game executor, not a search, so it runs the
+    compiled kernel whatever the corpus ``engine``.  Nets without source
+    transitions cannot be driven by events and keep their ``None`` fleet
+    columns.
     """
     from ..runtime import FleetSimulator, ModuleAssignment, synthetic_streams
 
@@ -630,15 +632,10 @@ def _runtime_sweep(spec: NetSpec, record: CorpusRecord, engine: str) -> None:
     streams = synthetic_streams(
         net, FLEET_SWEEP_INSTANCES, FLEET_SWEEP_EVENTS, seed=spec.seed
     )
-    # the fleet is a token-game executor, not a search: the frontier
-    # engine has nothing to add there and maps to the compiled core
-    fleet_engine = ENGINE_COMPILED if engine == ENGINE_FRONTIER else engine
-    target: Any = net if fleet_engine == ENGINE_LEGACY else _cached_compiled(spec)
     fleet = FleetSimulator(
-        target,
+        _cached_compiled(spec),
         ModuleAssignment.single_task(net),
         max_firings_per_event=FLEET_SWEEP_BUDGET,
-        engine=fleet_engine,
         on_budget="stop",
     )
     result = fleet.run(streams)

@@ -1,15 +1,13 @@
 """Runtime substrate: cost model, event streams, RTOS, reactive and fleet execution.
 
-Every execution path in this package takes the stack-wide
-``engine="compiled"`` (default) / ``engine="legacy"`` switch:
-:class:`ReactiveNetSimulator` runs the event loop either on the
-integer-indexed :class:`~repro.petrinet.compiled.CompiledNet` view or on
-the string-keyed token game, :class:`RTOS` forwards the switch to the IR
-interpreter (lowered opcodes vs direct tree walking), and
-:class:`FleetSimulator` batches N net instances into one ``(N, P)``
-numpy marking matrix on the compiled engine (its legacy engine is the
-per-instance baseline).  Engines always produce identical
-:class:`ExecutionStats`; `tests/test_runtime_compiled_differential.py`
+Each execution path in this package has one production executor:
+:class:`ReactiveNetSimulator` runs the event loop on the
+integer-indexed :class:`~repro.petrinet.compiled.CompiledNet` view,
+:class:`RTOS` runs the IR interpreter's lowered opcodes (or, with
+``engine="native"``, the synthesized C), and :class:`FleetSimulator`
+batches N net instances into one ``(N, P)`` numpy marking matrix.  The
+slower implementations they replaced are the test oracles of
+:mod:`repro.reference`; `tests/test_runtime_compiled_differential.py`
 is the cross-check suite and `benchmarks/bench_runtime_fleet.py` the
 fleet performance contract.
 """

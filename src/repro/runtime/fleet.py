@@ -26,15 +26,15 @@ the full Python event loop per instance; this module steps all of them
   through :meth:`SignatureTable.intern_events` and serves the packed
   columns with one ``dispatch_ordered`` call.  ``run(streams,
   workers=N)`` serves the same packed batch through a drained
-  process-backed :class:`~repro.service.FleetSupervisor`, and
-  ``engine="legacy"`` loops the string-keyed reactive simulator per
-  instance (the benchmark baseline and differential oracle).
+  process-backed :class:`~repro.service.FleetSupervisor`.  The
+  per-instance string-keyed loop it replaced is the test oracle
+  :func:`repro.reference.run_fleet`.
 
 The kernel accelerates the event loop with **memoized cascades**: the
 run-to-quiescence processing of an event is fully deterministic given
 the instance's current marking, the event's source transition and its
 choice-resolution signature (the first enabled candidate in transition
-id order fires, exactly as the legacy simulator's insertion-order
+id order fires, exactly as the reactive simulator's insertion-order
 scan).  Marking states and signatures are interned to small integer
 ids, and each distinct ``(state, source, signature)`` key is simulated
 once — its firing counts, cycle charges, activations, queue crossings
@@ -44,7 +44,7 @@ single core sustain hundreds of thousands of events per second
 (``benchmarks/bench_serve.py`` holds the contract).  Nets whose state
 or cascade population keeps growing flush the tables and eventually
 fall back to the direct batched loop, so memory stays bounded and the
-results stay *identical*: memoized, direct and legacy execution are
+results stay *identical*: memoized, direct and reference execution are
 pinned equal by `tests/test_runtime_compiled_differential.py` and
 `tests/test_service_differential.py`.
 """
@@ -60,13 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..petrinet import PetriNet
-from ..petrinet.compiled import (
-    ENGINE_COMPILED,
-    ENGINE_LEGACY,
-    CompiledNet,
-    compile_net,
-    validate_engine,
-)
+from ..petrinet.compiled import ENGINE_COMPILED, CompiledNet, compile_net
 from ..petrinet.exceptions import NotEnabledError
 from .cost import CostModel
 from .events import (
@@ -77,12 +71,7 @@ from .events import (
     validate_arrival,
     with_choices,
 )
-from .reactive import (
-    QUIESCENCE_MESSAGE,
-    ModuleAssignment,
-    ReactiveNetSimulator,
-    validate_budget_policy,
-)
+from .reactive import QUIESCENCE_MESSAGE, ModuleAssignment, validate_budget_policy
 from .rtos import ExecutionStats
 from .stochastic import StochasticChoicePolicy, TimingModel
 
@@ -887,7 +876,7 @@ class FleetEngine:
             candidates = candidates[has_candidate]
             sub_rows = rows[active]
             # argmax of a boolean row = first True = lowest transition
-            # id = the legacy "first candidate in insertion order"
+            # id = the reactive simulator's "first candidate in insertion order"
             chosen = candidates.argmax(axis=1)
             modules = module_of[chosen]
             crossed = modules != current_module[active]
@@ -954,15 +943,13 @@ class FleetEngine:
             return None
         return self._ticks[: self._n].copy()
 
-    def result(
-        self, engine: str = ENGINE_COMPILED, elapsed_seconds: float = 0.0
-    ) -> FleetResult:
+    def result(self, elapsed_seconds: float = 0.0) -> FleetResult:
         """Fold the accumulated accounting into a :class:`FleetResult`."""
         return FleetResult(
             stats=self.aggregate_stats(),
             instance_cycles=self.instance_cycles(),
             instance_events=self.instance_events(),
-            engine=engine,
+            engine=ENGINE_COMPILED,
             elapsed_seconds=elapsed_seconds,
             instance_ticks=self.instance_ticks(),
         )
@@ -983,12 +970,8 @@ class FleetSimulator:
         :class:`CompiledNet`).
     assignment:
         Task of every transition (must cover *all* transitions).
-    cost_model / max_firings_per_event / on_budget:
+    cost_model / max_firings_per_event / on_budget / timing:
         As for :class:`~repro.runtime.reactive.ReactiveNetSimulator`.
-    engine:
-        ``"compiled"`` (default) runs the vectorized kernel; ``"legacy"``
-        loops a string-keyed reactive simulator over the instances (the
-        benchmark baseline).
     """
 
     def __init__(
@@ -997,40 +980,17 @@ class FleetSimulator:
         assignment: ModuleAssignment,
         cost_model: Optional[CostModel] = None,
         max_firings_per_event: int = 100_000,
-        engine: str = ENGINE_COMPILED,
         on_budget: str = "error",
         timing: Optional[TimingModel] = None,
     ) -> None:
-        self.engine = validate_engine(engine)
-        self.on_budget = validate_budget_policy(on_budget)
-        self.assignment = assignment
-        self.cost = cost_model or CostModel()
-        self.max_firings_per_event = max_firings_per_event
-        self.timing = timing
-        compiled = net if isinstance(net, CompiledNet) else None
-        self._net: Optional[PetriNet] = None if compiled is not None else net
-        # the legacy engine never touches the kernel, so it skips both
-        # the compilation and the table preparation entirely
-        if self.engine == ENGINE_COMPILED:
-            self.kernel: Optional[FleetEngine] = FleetEngine(
-                compiled or compile_net(net),
-                assignment,
-                cost_model=self.cost,
-                max_firings_per_event=max_firings_per_event,
-                on_budget=self.on_budget,
-                timing=timing,
-            )
-            self.cnet: Optional[CompiledNet] = self.kernel.cnet
-        else:
-            self.kernel = None
-            self.cnet = compiled
-
-    @property
-    def net(self) -> PetriNet:
-        """The named view of the specification (decompiled on demand)."""
-        if self._net is None:
-            self._net = self.cnet.decompile()
-        return self._net
+        self.kernel = FleetEngine(
+            net,
+            assignment,
+            cost_model=cost_model,
+            max_firings_per_event=max_firings_per_event,
+            on_budget=on_budget,
+            timing=timing,
+        )
 
     # ------------------------------------------------------------------
     # Entry point
@@ -1043,19 +1003,11 @@ class FleetSimulator:
         Each stream is served in time order (stable for equal times).
         ``workers > 1`` serves the fleet through a drained process-backed
         :class:`~repro.service.FleetSupervisor` with ``min(workers, N)``
-        shards (identical results, ordered by instance); it needs the
-        compiled engine and runs its own event loop, so call it from
-        synchronous code.
+        shards (identical results, ordered by instance); it runs its own
+        event loop, so call it from synchronous code.
         """
-        if workers > 1 and self.engine == ENGINE_LEGACY:
-            raise ValueError(
-                "workers > 1 serves through process shards of the compiled "
-                "kernel; the legacy engine runs in-process only"
-            )
         started = time.perf_counter()
-        if self.engine == ENGINE_LEGACY:
-            result = self._run_legacy(streams)
-        elif workers > 1 and len(streams) > 1:
+        if workers > 1 and len(streams) > 1:
             result = asyncio.run(self._run_sharded(streams, workers))
         else:
             result = self._run_kernel(streams)
@@ -1063,39 +1015,7 @@ class FleetSimulator:
         return result
 
     # ------------------------------------------------------------------
-    # Legacy baseline: one reactive simulator, instance by instance
-    # ------------------------------------------------------------------
-    def _run_legacy(self, streams: Sequence[Sequence[Event]]) -> FleetResult:
-        aggregate = ExecutionStats()
-        cycles = np.zeros(len(streams), dtype=np.int64)
-        ticks = np.zeros(len(streams), dtype=np.int64)
-        events = np.zeros(len(streams), dtype=np.int64)
-        simulator = ReactiveNetSimulator(
-            self.net,
-            self.assignment,
-            self.cost,
-            max_firings_per_event=self.max_firings_per_event,
-            engine=ENGINE_LEGACY,
-            on_budget=self.on_budget,
-            timing=self.timing,
-        )
-        for i, stream in enumerate(streams):
-            simulator.reset()
-            stats = simulator.run(stream)
-            cycles[i] = stats.total_cycles
-            ticks[i] = stats.delay_ticks
-            events[i] = stats.events_processed
-            aggregate.merge(stats)
-        return FleetResult(
-            stats=aggregate,
-            instance_cycles=cycles,
-            instance_events=events,
-            engine=self.engine,
-            instance_ticks=ticks if self.timing is not None else None,
-        )
-
-    # ------------------------------------------------------------------
-    # Compiled engine: one packed batch through the kernel entry point
+    # One packed batch through the kernel entry point
     # ------------------------------------------------------------------
     def _run_kernel(self, streams: Sequence[Sequence[Event]]) -> FleetResult:
         kernel = self.kernel
@@ -1103,7 +1023,7 @@ class FleetSimulator:
         src_ids, sig_ids = kernel.prepare_events(events)
         kernel.reset(len(streams))
         kernel.dispatch_ordered(rows, src_ids, sig_ids)
-        return kernel.result(engine=self.engine)
+        return kernel.result()
 
     async def _run_sharded(
         self, streams: Sequence[Sequence[Event]], workers: int
@@ -1111,15 +1031,16 @@ class FleetSimulator:
         from ..service import FleetSupervisor, InjectBatchPacked
 
         n = len(streams)
+        kernel = self.kernel
         supervisor = FleetSupervisor(
-            self.cnet,
-            self.assignment,
-            cost_model=self.cost,
-            max_firings_per_event=self.max_firings_per_event,
-            on_budget=self.on_budget,
+            kernel.cnet,
+            kernel.assignment,
+            cost_model=kernel.cost,
+            max_firings_per_event=kernel.max_firings_per_event,
+            on_budget=kernel.on_budget,
             shards=min(workers, n),
             backend="process",
-            timing=self.timing,
+            timing=kernel.timing,
         )
         events, rows = _time_ordered(streams)
         sources, signatures = supervisor.signatures.intern_events(events)

@@ -16,16 +16,13 @@ The simulator processes one input event at a time: it fires the event's
 source transition and then keeps firing data-enabled transitions until
 the net quiesces, which mirrors a run-to-completion reactive execution.
 
-Like every other hot path of the reproduction, the simulator takes
-``engine="compiled"`` (default) or ``engine="legacy"``: the compiled
-engine runs the event loop on the integer-indexed
+The event loop runs on the integer-indexed
 :class:`~repro.petrinet.compiled.CompiledNet` view (dense transition
-ids, list-of-int token vectors, generated enabledness checkers), the
-legacy engine on the original string-keyed token game.  Both engines
-produce identical :class:`~repro.runtime.rtos.ExecutionStats`
-(`tests/test_runtime_compiled_differential.py` pins this down); the
-compiled path is what makes large fleets
-(:mod:`repro.runtime.fleet`) affordable.
+ids, list-of-int token vectors, generated enabledness checkers).  The
+original string-keyed token game is the test oracle
+:class:`repro.reference.ReactiveSimulator`;
+`tests/test_runtime_compiled_differential.py` pins identical
+:class:`~repro.runtime.rtos.ExecutionStats` between the two.
 """
 
 from __future__ import annotations
@@ -34,13 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..petrinet import Marking, PetriNet
-from ..petrinet.compiled import (
-    ENGINE_COMPILED,
-    ENGINE_LEGACY,
-    CompiledNet,
-    compile_net,
-    validate_engine,
-)
+from ..petrinet.compiled import CompiledNet, compile_net
 from ..petrinet.exceptions import NotEnabledError
 from .cost import CostModel
 from .events import Event
@@ -57,7 +48,7 @@ from .stochastic import TimingModel
 BUDGET_POLICIES = ("error", "stop")
 
 #: The error raised under ``on_budget="error"`` — shared verbatim by the
-#: legacy engine, the compiled engine and the fleet simulator so the
+#: simulator, the fleet kernel and the reference oracle so the
 #: differential suite can pin identical behaviour.
 QUIESCENCE_MESSAGE = (
     "event processing did not quiesce; the specification is "
@@ -128,10 +119,6 @@ class ReactiveNetSimulator:
     max_firings_per_event:
         Safety bound against runaway event processing (an unschedulable
         specification could otherwise loop forever).
-    engine:
-        ``"compiled"`` (default) runs the event loop on integer
-        transition ids and list-of-int token vectors; ``"legacy"`` on the
-        original string-keyed token game.  Identical stats either way.
     on_budget:
         ``"error"`` (default) raises :class:`RuntimeError` when an event
         exceeds ``max_firings_per_event``; ``"stop"`` abandons the event
@@ -139,8 +126,7 @@ class ReactiveNetSimulator:
     timing:
         Optional :class:`~repro.runtime.stochastic.TimingModel` charging
         an integer tick delay per firing into
-        ``ExecutionStats.delay_ticks``.  Both engines charge identical
-        ticks (the stochastic differential suite pins this).
+        ``ExecutionStats.delay_ticks``.
     """
 
     def __init__(
@@ -149,11 +135,9 @@ class ReactiveNetSimulator:
         assignment: ModuleAssignment,
         cost_model: Optional[CostModel] = None,
         max_firings_per_event: int = 100_000,
-        engine: str = ENGINE_COMPILED,
         on_budget: str = "error",
         timing: Optional[TimingModel] = None,
     ) -> None:
-        self.engine = validate_engine(engine)
         self.on_budget = validate_budget_policy(on_budget)
         self.assignment = assignment
         self.cost = cost_model or CostModel()
@@ -161,24 +145,17 @@ class ReactiveNetSimulator:
         self.timing = timing
         if isinstance(net, CompiledNet):
             self.net = net.decompile()
-            self._cnet: Optional[CompiledNet] = net
+            self._cnet = net
         else:
             self.net = net
-            self._cnet = compile_net(net) if engine == ENGINE_COMPILED else None
-        self._choice_places = set(self.net.choice_places())
-        if self.engine == ENGINE_COMPILED:
-            self._prepare_compiled()
-            self._vector: List[int] = list(self._cnet.initial)
-            self._legacy_marking: Optional[Marking] = None
-        else:
-            self._legacy_marking = self.net.initial_marking
-            self._vector = []
+            self._cnet = compile_net(net)
+        self._prepare_tables()
+        self._vector: List[int] = list(self._cnet.initial)
 
     # -- compiled tables -----------------------------------------------------
-    def _prepare_compiled(self) -> None:
+    def _prepare_tables(self) -> None:
         cnet = self._cnet
-        assert cnet is not None
-        choice_ids = {cnet.place_id(p) for p in self._choice_places}
+        choice_ids = {cnet.place_id(p) for p in self.net.choice_places()}
         # per transition id: the choice-place ids in its preset (the ones
         # an event resolution can deselect it through)
         self._choice_preset: Tuple[Tuple[int, ...], ...] = tuple(
@@ -207,94 +184,20 @@ class ReactiveNetSimulator:
     @property
     def marking(self) -> Marking:
         """The current marking, decompiled to a named :class:`Marking`."""
-        if self.engine == ENGINE_COMPILED:
-            return self._cnet.marking_from_tuple(self._vector)
-        return self._legacy_marking
+        return self._cnet.marking_from_tuple(self._vector)
 
     def reset(self) -> None:
-        if self.engine == ENGINE_COMPILED:
-            self._vector = list(self._cnet.initial)
-        else:
-            self._legacy_marking = self.net.initial_marking
+        self._vector = list(self._cnet.initial)
 
     # -- event processing ----------------------------------------------------
-    def _data_enabled(self, choices: Mapping[str, str]) -> List[str]:
-        """Transitions enabled by both tokens and the event's data.
-
-        A successor of a choice place is only data-enabled when the
-        event's resolution selects it; all other transitions follow plain
-        token-game enabling.  (Legacy engine only.)
-        """
-        enabled = []
-        for transition in self.net.enabled_transitions(self._legacy_marking):
-            selected = True
-            for place in self.net.preset_names(transition):
-                if place in self._choice_places:
-                    chosen = choices.get(place)
-                    if chosen is not None and chosen != transition:
-                        selected = False
-                        break
-            if selected:
-                enabled.append(transition)
-        return enabled
-
     def process_event(self, event: Event, stats: ExecutionStats) -> None:
         """Fire the event's source and run the net to quiescence."""
-        if self.engine == ENGINE_COMPILED:
-            self._process_event_compiled(event, stats)
-        else:
-            self._process_event_legacy(event, stats)
-
-    def _over_budget(self, stats: ExecutionStats) -> bool:
-        """Apply the budget policy; True means "stop processing the event"."""
-        if self.on_budget == "error":
-            raise RuntimeError(QUIESCENCE_MESSAGE)
-        stats.budget_stops += 1
-        return True
-
-    def _process_event_legacy(self, event: Event, stats: ExecutionStats) -> None:
-        stats.events_processed += 1
-        source = event.source
-        current_task = self.assignment.module_of(source)
-        stats.record_activation(current_task, self.cost.activation_cycles)
-        self._fire_legacy(source, stats)
-        firings = 1
-        while True:
-            candidates = self._data_enabled(event.choices)
-            # never re-fire source transitions spontaneously: they are
-            # driven by the environment, one firing per event.
-            candidates = [c for c in candidates if self.net.preset(c)]
-            if not candidates:
-                break
-            transition = candidates[0]
-            task = self.assignment.module_of(transition)
-            if task != current_task:
-                # inter-task message: send + receive + activation of target
-                stats.record_queue(2 * self.cost.queue_op_cycles)
-                stats.record_activation(task, self.cost.activation_cycles)
-                current_task = task
-            self._fire_legacy(transition, stats)
-            firings += 1
-            if firings > self.max_firings_per_event and self._over_budget(stats):
-                break
-
-    def _fire_legacy(self, transition: str, stats: ExecutionStats) -> None:
-        self._legacy_marking = self.net.fire(transition, self._legacy_marking)
-        cost = self.net.transition(transition).cost * self.cost.transition_cycles
-        # every transition pays a dispatch test, mirroring the generated
-        # code's control tests
-        cost += self.cost.test_cycles
-        stats.record_body(cost, [transition])
-        if self.timing is not None:
-            stats.record_delay(self.timing.ticks_of(transition))
-
-    def _process_event_compiled(self, event: Event, stats: ExecutionStats) -> None:
         cnet = self._cnet
         stats.events_processed += 1
         source = event.source
         current_task = self.assignment.module_of(source)
         stats.record_activation(current_task, self.cost.activation_cycles)
-        self._fire_compiled(cnet.transition_id(source), stats, check=True)
+        self._fire(cnet.transition_id(source), stats, check=True)
         firings = 1
         resolved = self._resolve_choices(event.choices)
         while True:
@@ -306,9 +209,12 @@ class ReactiveNetSimulator:
                 stats.record_queue(2 * self.cost.queue_op_cycles)
                 stats.record_activation(task, self.cost.activation_cycles)
                 current_task = task
-            self._fire_compiled(t_id, stats, check=False)
+            self._fire(t_id, stats, check=False)
             firings += 1
-            if firings > self.max_firings_per_event and self._over_budget(stats):
+            if firings > self.max_firings_per_event:
+                if self.on_budget == "error":
+                    raise RuntimeError(QUIESCENCE_MESSAGE)
+                stats.budget_stops += 1
                 break
 
     def _resolve_choices(
@@ -318,9 +224,8 @@ class ReactiveNetSimulator:
 
         A resolution naming an unknown transition maps to ``-1`` (no
         transition id matches, so every successor of the place is
-        deselected — the legacy string-comparison behaviour).  Places the
-        net does not have, or that are not choice places, are ignored,
-        exactly as the legacy filter ignores them.
+        deselected).  Places the net does not have, or that are not
+        choice places, are ignored.
         """
         if not choices:
             return None
@@ -351,7 +256,7 @@ class ReactiveNetSimulator:
             return t_id
         return None
 
-    def _fire_compiled(
+    def _fire(
         self, t_id: int, stats: ExecutionStats, check: bool
     ) -> None:
         cnet = self._cnet

@@ -9,15 +9,14 @@ dispatched in time order, and every activation is charged the cost
 model's activation overhead on top of the cycles reported by the task
 body itself.
 
-The executive takes the same ``engine="compiled"`` (default) /
-``engine="legacy"`` switch as the rest of the stack and forwards it to
-the IR interpreter: ``"compiled"`` executes the task bodies in their
-lowered integer-opcode form, ``"legacy"`` tree-walks the IR statement
-objects directly.  Both engines charge identical cycles
-(`tests/test_runtime_compiled_differential.py`).  ``engine="native"``
-runs the task bodies as compiled C (:mod:`repro.codegen.native`) with
-the same cycle charges, falling back to ``"compiled"`` with a warning
-when no C compiler is available.
+The executive forwards its ``engine`` to the IR interpreter:
+``"compiled"`` (default) executes the task bodies in their lowered
+integer-opcode form, ``"native"`` as compiled C
+(:mod:`repro.codegen.native`) with the same cycle charges, falling back
+to ``"compiled"`` with a warning when no C compiler is available.  The
+IR tree walk the opcodes replaced is the test oracle
+:class:`repro.reference.RTOS`
+(`tests/test_runtime_compiled_differential.py`).
 """
 
 from __future__ import annotations
@@ -135,9 +134,8 @@ class RTOS:
     one activation per event plus the cycles reported by the task body.
 
     ``engine`` selects how the task bodies execute: ``"compiled"``
-    (default) runs the lowered integer-opcode form, ``"legacy"``
-    tree-walks the IR statements, ``"native"`` runs the compiled
-    shared library; see
+    (default) runs the lowered integer-opcode form, ``"native"`` the
+    compiled shared library; see
     :class:`~repro.codegen.interpreter.TaskExecutor`.
     """
 

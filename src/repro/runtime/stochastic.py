@@ -16,8 +16,8 @@ keeping every execution path bit-reproducible:
 
 * :class:`StochasticChoicePolicy` carries **weighted** branch odds per
   choice place.  Resolution stays at the stream boundary (events carry
-  their resolutions, exactly as before), so the engines — compiled,
-  legacy, memoized, direct, sharded — never see randomness: they
+  their resolutions, exactly as before), so the executors — memoized,
+  direct, sharded and the reference oracle — never see randomness: they
   receive the same resolved events and must produce the same bytes.
 
 Both are seeded through :class:`random.Random` with *string* seeds over

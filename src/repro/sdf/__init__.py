@@ -1,13 +1,12 @@
 """Synchronous Dataflow substrate: graphs, balance equations and static schedules.
 
 The PASS simulation behind :func:`static_schedule` /
-:func:`simulate_schedule` / :func:`is_statically_schedulable` takes the
-stack-wide ``engine="compiled"`` (default) / ``engine="legacy"`` switch:
-integer-indexed actors/channels with vectorized can-fire tests versus the
-original string-keyed dict loop, with identical schedules either way
-(`tests/test_runtime_compiled_differential.py` cross-checks them).  The
-balance equations (:mod:`repro.sdf.balance`) already run on integer
-matrices and need no switch.
+:func:`simulate_schedule` / :func:`is_statically_schedulable` runs on
+integer-indexed actors/channels with vectorized can-fire tests; the
+original string-keyed dict loop is the test oracle in
+:mod:`repro.reference` (`tests/test_runtime_compiled_differential.py`
+cross-checks them).  The balance equations (:mod:`repro.sdf.balance`)
+already run on integer matrices.
 """
 
 from .balance import (

@@ -7,13 +7,10 @@ Periodic Admissible Sequential Schedule (PASS) — a finite complete cycle
 in Petri net terms.  If the simulation blocks, no schedule exists for the
 given delays (deadlock due to insufficient initial tokens).
 
-The simulation takes the stack-wide ``engine="compiled"`` (default) /
-``engine="legacy"`` switch: the compiled engine maps actors and channels
-to dense integer ids once and fires against int64 token vectors with
-vectorized can-fire tests; the legacy engine is the original string-keyed
-dict loop.  Both produce the identical firing sequence and buffer bounds
-(the demand-driven "first fireable actor in declaration order" rule is
-deterministic either way).
+The simulation maps actors and channels to dense integer ids once and
+fires against int64 token vectors with vectorized can-fire tests; the
+original string-keyed dict loop is kept as the test oracle
+:func:`repro.reference.simulate_schedule`.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..petrinet.compiled import ENGINE_LEGACY, ENGINE_COMPILED, validate_engine
 from .balance import repetition_vector
 from .graph import SDFError, SDFGraph
 
@@ -61,82 +57,22 @@ class StaticSchedule:
 
 
 def simulate_schedule(
-    graph: SDFGraph,
-    repetition: Optional[Dict[str, int]] = None,
-    engine: str = ENGINE_COMPILED,
+    graph: SDFGraph, repetition: Optional[Dict[str, int]] = None
 ) -> Tuple[List[str], Dict[str, int]]:
     """Simulate one iteration and return ``(sequence, buffer_bounds)``.
 
-    The simulator repeatedly fires any actor that still has remaining
-    firings and enough input tokens; demand-driven order (actors earlier
-    in the topological/insertion order first) keeps buffer bounds small
-    but any admissible order would do for correctness.  ``engine``
-    selects the integer-indexed vectorized simulation (``"compiled"``,
-    default) or the string-keyed dict loop (``"legacy"``); results are
-    identical.
+    Each step fires the first actor (in declaration order) with firings
+    left and enough input tokens — demand-driven order keeps buffer
+    bounds small.  One step is a vectorized can-fire test over dense
+    actor/channel ids; ``argmax`` of its mask picks the actor.
 
     Raises
     ------
     DeadlockError
         If no actor can fire before all repetition counts are exhausted.
     """
-    validate_engine(engine)
     if repetition is None:
         repetition = repetition_vector(graph)
-    if engine == ENGINE_COMPILED:
-        return _simulate_schedule_compiled(graph, repetition)
-    remaining = dict(repetition)
-    tokens: Dict[str, int] = {e.channel_name: e.initial_tokens for e in graph.edges}
-    bounds: Dict[str, int] = dict(tokens)
-    sequence: List[str] = []
-
-    def can_fire(actor: str) -> bool:
-        if remaining.get(actor, 0) <= 0:
-            return False
-        for edge in graph.in_edges(actor):
-            if tokens[edge.channel_name] < edge.consumption:
-                return False
-        return True
-
-    def fire(actor: str) -> None:
-        for edge in graph.in_edges(actor):
-            tokens[edge.channel_name] -= edge.consumption
-        for edge in graph.out_edges(actor):
-            tokens[edge.channel_name] += edge.production
-            bounds[edge.channel_name] = max(
-                bounds[edge.channel_name], tokens[edge.channel_name]
-            )
-        remaining[actor] -= 1
-        sequence.append(actor)
-
-    total = sum(remaining.values())
-    for _ in range(total):
-        fired = False
-        for actor in graph.actor_names:
-            if can_fire(actor):
-                fire(actor)
-                fired = True
-                break
-        if not fired:
-            blocked = [a for a, r in remaining.items() if r > 0]
-            raise DeadlockError(
-                f"SDF graph {graph.name!r} deadlocks with actors still to "
-                f"fire: {blocked}"
-            )
-    return sequence, bounds
-
-
-def _simulate_schedule_compiled(
-    graph: SDFGraph, repetition: Dict[str, int]
-) -> Tuple[List[str], Dict[str, int]]:
-    """Integer-indexed PASS simulation (identical results to the dict loop).
-
-    Actors and channels get dense ids; one iteration step is a vectorized
-    can-fire test (``remaining > 0`` and ``tokens >= consumption`` on
-    every in-channel) followed by an incidence-row update of the token
-    vector — ``argmax`` of the boolean mask reproduces the legacy
-    "first fireable actor in declaration order" rule exactly.
-    """
     actors = list(graph.actor_names)
     actor_index = {a: i for i, a in enumerate(actors)}
     edges = list(graph.edges)
@@ -171,31 +107,25 @@ def _simulate_schedule_compiled(
     return sequence, {channels[j]: int(bounds[j]) for j in range(n_c)}
 
 
-def static_schedule(graph: SDFGraph, engine: str = ENGINE_COMPILED) -> StaticSchedule:
+def static_schedule(graph: SDFGraph) -> StaticSchedule:
     """Compute a PASS for ``graph``.
-
-    ``engine`` selects the simulation core (``"compiled"`` integer ids /
-    ``"legacy"`` string dicts); the schedule is identical either way.
 
     Raises :class:`~repro.sdf.balance.InconsistentSDFError` when the
     balance equations have no solution and :class:`DeadlockError` when
     the graph is consistent but has insufficient initial tokens.
     """
     repetition = repetition_vector(graph)
-    sequence, bounds = simulate_schedule(graph, repetition, engine=engine)
+    sequence, bounds = simulate_schedule(graph, repetition)
     cost = sum(graph.actor(a).cost * n for a, n in repetition.items())
     return StaticSchedule(
         sequence=sequence, repetition=repetition, buffer_bounds=bounds, cost=cost
     )
 
 
-def is_statically_schedulable(graph: SDFGraph, engine: str = ENGINE_COMPILED) -> bool:
-    """True if the graph admits a PASS (consistent and deadlock-free).
-
-    ``engine`` is forwarded to :func:`static_schedule`.
-    """
+def is_statically_schedulable(graph: SDFGraph) -> bool:
+    """True if the graph admits a PASS (consistent and deadlock-free)."""
     try:
-        static_schedule(graph, engine=engine)
+        static_schedule(graph)
     except SDFError:
         return False
     return True

@@ -258,17 +258,18 @@ def _from_payload(cls: Type[Any], payload: Mapping[str, Any]) -> Any:
                 _from_payload(ShardStats, item) for item in kwargs.get("shards", ())
             )
         return cls(**kwargs)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise ProtocolError(
             f"bad payload for message type {cls.TYPE!r}: {error}"
         ) from None
 
 
 def decode_message(line: Union[str, bytes]) -> Message:
-    """Parse one wire line back into its typed message (strict)."""
+    """Parse one wire line back into its typed message (strict, total)."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
+        # JSONDecodeError, and UnicodeDecodeError for non-UTF-8 bytes
         raise ProtocolError(f"wire line is not valid JSON: {error}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("wire line must be a JSON object")
@@ -371,7 +372,12 @@ def decode_frame(data: bytes) -> Tuple[int, Any]:
     if kind == FRAME_CONTROL:
         return kind, decode_message(bytes(body))
     if kind == FRAME_RESULT:
-        return kind, pickle.loads(body)
+        # pipes join a supervisor to its own workers only: the pickle is
+        # trusted, but a garbled one is still a protocol error
+        try:
+            return kind, pickle.loads(body)
+        except Exception as error:
+            raise ProtocolError(f"bad result frame: {error!r}") from None
     if kind != FRAME_PACKED:
         raise ProtocolError(f"unknown binary frame kind {kind!r}")
     if len(body) < _U32.size:
@@ -385,8 +391,10 @@ def decode_frame(data: bytes) -> Tuple[int, Any]:
         sig_defs: SigDefs = [
             tuple(tuple(pair) for pair in sig) for sig in header["sig_defs"]
         ]
-    except (ValueError, KeyError, TypeError) as error:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as error:
         raise ProtocolError(f"bad packed frame header: {error}") from None
+    if n < 0 or sig_base < 0:
+        raise ProtocolError(f"bad packed frame header: n={n}, sig_base={sig_base}")
     section = 8 * n
     if len(body) - header_end != 3 * section:
         raise ProtocolError(

@@ -218,16 +218,20 @@ class ShardActor:
             maxsize=inbox_limit
         )
         self._stopped = False
+        #: the kernel's exception, once it raised; later requests fail with it
+        self.failure: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
     async def put(self, message: _InboxItem) -> None:
         """Enqueue; suspends the caller while the inbox is full."""
+        self._raise_failure(message)
         await self.inbox.put(message)
 
     def try_put(self, message: _InboxItem) -> bool:
         """Non-blocking enqueue; ``False`` signals overflow (backpressure)."""
+        self._raise_failure(message)
         try:
             self.inbox.put_nowait(message)
         except asyncio.QueueFull:
@@ -238,7 +242,11 @@ class ShardActor:
     # The actor loop
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        """Serve the inbox until a :class:`Shutdown` message arrives."""
+        """Serve the inbox until a :class:`Shutdown` message arrives.
+
+        Once the kernel has raised, drains fail their control futures
+        with :attr:`failure` instead of serving (see :meth:`_fail_batch`).
+        """
         while not self._stopped:
             first = await self.inbox.get()
             batch: List[_InboxItem] = [first]
@@ -248,10 +256,33 @@ class ShardActor:
                 except asyncio.QueueEmpty:
                     break
             try:
-                self._serve_batch(batch)
+                if self.failure is None:
+                    self._serve_batch(batch)
+                else:
+                    self._fail_batch(batch)
+            except Exception as error:
+                self.failure = error
+                self._fail_batch(batch)
             finally:
                 for _ in batch:
                     self.inbox.task_done()
+
+    def _raise_failure(self, message: _InboxItem) -> None:
+        """After a failure, events fail at once; controls still queue."""
+        if self.failure is not None and isinstance(message, InjectBatchPacked):
+            raise self.failure
+
+    def _fail_batch(self, batch: Sequence[_InboxItem]) -> None:
+        """Fail every control future in ``batch`` with :attr:`failure`; a
+        :class:`Shutdown` among them still stops the loop."""
+        for item in batch:
+            if isinstance(item, InjectBatchPacked):
+                continue
+            message, future = item
+            if not future.done():
+                future.set_exception(self.failure)
+            if isinstance(message, Shutdown):
+                self._stopped = True
 
     def _serve_batch(self, batch: Sequence[_InboxItem]) -> None:
         """Serve one inbox drain: adaptive coalescing.

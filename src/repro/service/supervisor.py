@@ -71,6 +71,7 @@ from .messages import (
     InjectBatch,
     InjectBatchPacked,
     InjectEvent,
+    ProtocolError,
     Reload,
     ShardStats,
     Shutdown,
@@ -220,14 +221,13 @@ class FleetSupervisor:
             except asyncio.CancelledError:
                 pass
         self._running = False
-        parts: List[Tuple[List[int], FleetResult]] = []
         if self.backend == "async":
             futures = []
             for actor in self._actors:
                 future: "asyncio.Future" = asyncio.get_running_loop().create_future()
                 await actor.put((Shutdown(drain=drain), future))
                 futures.append(future)
-            parts = list(await asyncio.gather(*futures))
+            replies = await asyncio.gather(*futures, return_exceptions=True)
             await asyncio.gather(*self._tasks)
         else:
             replies = await asyncio.gather(
@@ -236,10 +236,10 @@ class FleetSupervisor:
             )
             for handle in self._handles:
                 await handle.join()
-            for reply in replies:
-                if isinstance(reply, BaseException):
-                    raise reply  # a dead shard; every worker is joined
-            parts = list(replies)
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply  # a failed shard; every shard has stopped
+        parts: List[Tuple[List[int], FleetResult]] = list(replies)
         elapsed = time.perf_counter() - self._started_at
         return _merge_results(parts, elapsed)
 
@@ -555,7 +555,10 @@ class _ProcessShardHandle:
                 await asyncio.to_thread(self._process.join, 5)
                 self._fail(ShardFailed(self.shard_id, self._process.exitcode))
                 return
-            kind, reply = decode_frame(data)
+            try:
+                kind, reply = decode_frame(data)
+            except ProtocolError as error:
+                reply = error  # a garbled frame fails the shard too
             if isinstance(reply, Exception):  # the worker's last words
                 self._fail(reply)
                 return

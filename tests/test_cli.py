@@ -113,6 +113,16 @@ class TestGalleryAndTable:
         assert "Number of tasks" in out
         assert "clock-cycle ratio" in out
 
+    def test_atm_table1_legacy_engine_is_a_deprecated_alias(self, capsys):
+        args = ["atm-table1", "--cells", "5", "--seed", "1"]
+        assert main(args) == 0
+        compiled = capsys.readouterr()
+        assert main(args + ["--engine", "legacy"]) == 0
+        legacy = capsys.readouterr()
+        assert legacy.out == compiled.out
+        assert legacy.err.count("--engine legacy is deprecated") == 1
+        assert compiled.err == ""
+
 
 class TestServe:
     def test_serve_small_fleet(self, capsys):
@@ -127,12 +137,31 @@ class TestServe:
         assert main(args + ["--engine", "compiled"]) == 0
         compiled_out = capsys.readouterr().out
         assert main(args + ["--engine", "legacy"]) == 0
-        legacy_out = capsys.readouterr().out
+        legacy = capsys.readouterr()
         pick = lambda text: [
             line for line in text.splitlines()
             if line.startswith(("total cycles", "events processed", "per-instance"))
         ]
-        assert pick(compiled_out) == pick(legacy_out)
+        assert pick(compiled_out) == pick(legacy.out)
+        assert "(compiled engine" in legacy.out
+        assert legacy.err.count("--engine legacy is deprecated") == 1
+
+    @pytest.mark.parametrize(
+        "extra", [["--workers", "2"], ["--shards", "2"]], ids=["workers", "shards"]
+    )
+    def test_deprecated_legacy_engine_runs_compiled_everywhere(self, extra, capsys):
+        """The parser errors that rejected legacy shards are gone: the
+        alias runs the compiled kernel in every serving mode."""
+        args = ["serve", "--instances", "4", "--events", "2", "--seed", "9"]
+        assert main(args + extra) == 0
+        compiled_out = capsys.readouterr().out
+        assert main(args + extra + ["--engine", "legacy"]) == 0
+        legacy = capsys.readouterr()
+        assert "deprecated" in legacy.err
+        pick = lambda text: [
+            line for line in text.splitlines() if line.startswith("total cycles")
+        ]
+        assert pick(legacy.out) == pick(compiled_out) != []
 
     def test_serve_single_partition_and_workers(self, capsys):
         assert (
@@ -280,11 +309,6 @@ class TestServeValidation:
             ),
             (["--listen", "localhost"], "expected HOST:PORT"),
             (["--listen", "localhost:notaport"], "bad port"),
-            (["--shards", "2", "--engine", "legacy"], "compiled kernel"),
-            (
-                ["--workers", "2", "--engine", "legacy"],
-                "legacy is only available in-process",
-            ),
             (["--family", "warp_drive"], "unknown family"),
             (
                 ["--family", "pipeline", "--partition", "modules"],

@@ -1,8 +1,8 @@
 """One serving path: every way to run a fleet agrees on a mixed fleet.
 
 The one-shot kernel run, the process-shard run (``workers=2``), the
-legacy per-instance oracle and a 2-shard async supervisor must give the
-same statistics and the same per-instance cycles, events and delay
+per-instance reference oracle and a 2-shard async supervisor must give
+the same statistics and the same per-instance cycles, events and delay
 ticks — on a fleet that mixes instances with empty streams (which never
 reach a shard) and streams given in reverse time order (which every
 path must serve sorted by time).  Checked untimed and with
@@ -17,6 +17,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
 from repro.runtime import FleetSimulator, ModuleAssignment, parse_timing
 from repro.service import FleetSupervisor, InjectBatch, events_to_injects
@@ -67,17 +68,17 @@ def test_mixed_fleet_identical_on_every_path(timing_spec):
     ), "the fleet must hold at least one stream in reverse time order"
     timing = parse_timing(timing_spec, ATM, seed=3)
 
-    def simulator(engine="compiled"):
-        return FleetSimulator(ATM, ASSIGNMENT, engine=engine, timing=timing)
+    def simulator():
+        return FleetSimulator(ATM, ASSIGNMENT, timing=timing)
 
     one_shot = simulator().run(streams)
     sharded = simulator().run(streams, workers=2)
-    legacy = simulator("legacy").run(streams)
+    oracle = reference.run_fleet(ATM, ASSIGNMENT, streams, timing=timing)
 
     assert one_shot.instances == len(streams)
     assert one_shot.stats.events_processed == sum(map(len, streams))
     assert (one_shot.instance_events[list(EMPTY)] == 0).all()
-    for other in (sharded, legacy):
+    for other in (sharded, oracle):
         assert asdict(other.stats) == asdict(one_shot.stats)
         assert per_instance(other) == per_instance(one_shot)
 
@@ -92,13 +93,6 @@ def test_mixed_fleet_identical_on_every_path(timing_spec):
         [events[i] for i in present],
         None if ticks is None else [ticks[i] for i in present],
     )
-
-
-def test_workers_with_the_legacy_engine_is_rejected():
-    streams = mixed_fleet()
-    legacy = FleetSimulator(ATM, ASSIGNMENT, engine="legacy")
-    with pytest.raises(ValueError, match="compiled kernel"):
-        legacy.run(streams, workers=2)
 
 
 def test_workers_on_an_all_empty_fleet():

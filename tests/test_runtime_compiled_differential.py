@@ -1,14 +1,15 @@
 """Differential suite for the compiled runtime substrate.
 
-Pins the engine-equality contract of PR 4: the reactive simulator, the
-RTOS/IR interpreter, the SDF PASS simulation and the fleet simulator all
-take ``engine="compiled"`` / ``engine="legacy"`` and must produce
-*identical* results — same :class:`ExecutionStats` field for field (total
-cycles, breakdowns, per-task activations, per-transition firings), same
-firing sequences, same per-instance cycle vectors — on the paper gallery,
-the ATM case study and seeded corpus nets.  Also pins fleet determinism
-under fixed seeds, pool-vs-sequential equality and the firing-budget
-policies.
+Pins the oracle-equality contract: the reactive simulator, the RTOS/IR
+interpreter, the SDF PASS simulation and the fleet simulator must
+produce *identical* results to their :mod:`repro.reference` oracles
+(the string-keyed token game, the IR tree walk, the dict-based PASS
+loop and the per-instance fleet loop) — same :class:`ExecutionStats`
+field for field (total cycles, breakdowns, per-task activations,
+per-transition firings), same firing sequences, same per-instance cycle
+vectors — on the paper gallery, the ATM case study and seeded corpus
+nets.  Also pins fleet determinism under fixed seeds,
+pool-vs-sequential equality and the firing-budget policies.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.codegen import synthesize
 from repro.gallery import gallery_nets
 from repro.petrinet import NetBuilder
@@ -43,7 +45,7 @@ from repro.sdf import DeadlockError, SDFGraph, static_schedule
 #: Per-event firing budget used when driving arbitrary generated nets:
 #: corpus families include nets that never quiesce (token rings), so the
 #: differential runs use the "stop" policy — which itself must behave
-#: identically across engines.
+#: identically in the simulator and its oracle.
 BUDGET = 64
 
 
@@ -52,9 +54,9 @@ def stats_dict(stats) -> dict:
 
 
 def run_both_reactive(net, assignment, stream, **kwargs):
-    legacy = ReactiveNetSimulator(net, assignment, engine="legacy", **kwargs)
-    compiled = ReactiveNetSimulator(net, assignment, engine="compiled", **kwargs)
-    return legacy.run(stream), compiled.run(stream)
+    oracle = reference.ReactiveSimulator(net, assignment, **kwargs)
+    compiled = ReactiveNetSimulator(net, assignment, **kwargs)
+    return oracle.run(stream), compiled.run(stream)
 
 
 class TestReactiveEngines:
@@ -111,15 +113,15 @@ class TestReactiveEngines:
 
     def test_marking_and_reset_identical(self, fig5):
         assignment = ModuleAssignment.single_task(fig5)
-        legacy = ReactiveNetSimulator(fig5, assignment, engine="legacy")
-        compiled = ReactiveNetSimulator(fig5, assignment, engine="compiled")
+        oracle = reference.ReactiveSimulator(fig5, assignment)
+        compiled = ReactiveNetSimulator(fig5, assignment)
         event = Event(time=0, source="t1", choices={"p1": "t2"})
-        legacy.run([event])
+        oracle.run([event])
         compiled.run([event])
-        assert compiled.marking == legacy.marking
+        assert compiled.marking == oracle.marking
         compiled.reset()
-        legacy.reset()
-        assert compiled.marking == legacy.marking == fig5.initial_marking
+        oracle.reset()
+        assert compiled.marking == oracle.marking == fig5.initial_marking
 
     def test_compiled_accepts_precompiled_net(self, fig3a):
         compiled_view = fig3a.compile()
@@ -129,14 +131,17 @@ class TestReactiveEngines:
         stats = simulator.run([Event(time=0, source="t1", choices={"p1": "t2"})])
         assert stats.firings == {"t1": 1, "t2": 1, "t4": 1}
 
-    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
-    def test_budget_error_policy_raises(self, engine):
+    @pytest.mark.parametrize(
+        "simulator_cls",
+        [reference.ReactiveSimulator, ReactiveNetSimulator],
+        ids=["reference", "compiled"],
+    )
+    def test_budget_error_policy_raises(self, simulator_cls):
         net = _spinning_net()
-        simulator = ReactiveNetSimulator(
+        simulator = simulator_cls(
             net,
             ModuleAssignment.single_task(net),
             max_firings_per_event=10,
-            engine=engine,
         )
         with pytest.raises(RuntimeError, match="did not quiesce"):
             simulator.run([Event(time=0, source="t_src")])
@@ -153,11 +158,7 @@ class TestReactiveEngines:
         assert stats_dict(a) == stats_dict(b)
         assert a.budget_stops == 2
 
-    def test_unknown_engine_rejected(self, fig3a):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ReactiveNetSimulator(
-                fig3a, ModuleAssignment.single_task(fig3a), engine="quantum"
-            )
+    def test_unknown_budget_policy_rejected(self, fig3a):
         with pytest.raises(ValueError, match="unknown budget policy"):
             ReactiveNetSimulator(
                 fig3a, ModuleAssignment.single_task(fig3a), on_budget="never"
@@ -187,9 +188,9 @@ class TestRtosEngines:
         ]
         if figure == "fig5":
             events.append(Event(time=2.0, source="t8"))
-        legacy = RTOS(program, engine="legacy").run(events)
-        compiled = RTOS(program, engine="compiled").run(events)
-        assert stats_dict(legacy) == stats_dict(compiled)
+        oracle = reference.RTOS(program).run(events)
+        compiled = RTOS(program).run(events)
+        assert stats_dict(oracle) == stats_dict(compiled)
 
     def test_atm_program_identical(self, atm_report):
         from repro.qss import partition_tasks  # noqa: F401 - schedule sanity
@@ -197,28 +198,28 @@ class TestRtosEngines:
         program = synthesize(atm_report.schedule)
         events = make_testbench(cells=10, seed=5)
         model = CostModel(activation_cycles=333)
-        legacy = RTOS(program, model, engine="legacy").run(events)
-        compiled = RTOS(program, model, engine="compiled").run(events)
-        assert stats_dict(legacy) == stats_dict(compiled)
-        assert legacy.events_processed == len(events)
+        oracle = reference.RTOS(program, model).run(events)
+        compiled = RTOS(program, model).run(events)
+        assert stats_dict(oracle) == stats_dict(compiled)
+        assert oracle.events_processed == len(events)
 
     def test_counters_and_reset_identical(self, fig3a):
         program = synthesize(compute_valid_schedule(fig3a))
-        legacy = RTOS(program, engine="legacy")
-        compiled = RTOS(program, engine="compiled")
+        oracle = reference.RTOS(program)
+        compiled = RTOS(program)
         event = Event(time=0, source="t1", choices={"p1": "t2"})
-        legacy.run([event])
+        oracle.run([event])
         compiled.run([event])
-        for name in legacy.executor.tasks:
+        for name in oracle.executor.tasks:
             assert (
-                legacy.executor.tasks[name].counters
+                oracle.executor.tasks[name].counters
                 == compiled.executor.tasks[name].counters
             )
-        legacy.reset()
+        oracle.reset()
         compiled.reset()
-        for name in legacy.executor.tasks:
+        for name in oracle.executor.tasks:
             assert (
-                legacy.executor.tasks[name].counters
+                oracle.executor.tasks[name].counters
                 == compiled.executor.tasks[name].counters
             )
 
@@ -229,7 +230,7 @@ class TestFleetEngines:
         assignment = ModuleAssignment.from_groups(MODULE_PARTITION)
         streams = make_fleet_testbench(6, cells=4, seed=99)
         fleet = FleetSimulator(net, assignment).run(streams)
-        simulator = ReactiveNetSimulator(net, assignment, engine="legacy")
+        simulator = reference.ReactiveSimulator(net, assignment)
         for i, stream in enumerate(streams):
             simulator.reset()
             stats = simulator.run(stream)
@@ -240,11 +241,11 @@ class TestFleetEngines:
         net = build_atm_server_net()
         assignment = ModuleAssignment.from_groups(MODULE_PARTITION)
         streams = make_fleet_testbench(10, cells=4, seed=42)
-        legacy = FleetSimulator(net, assignment, engine="legacy").run(streams)
-        compiled = FleetSimulator(net, assignment, engine="compiled").run(streams)
-        assert stats_dict(legacy.stats) == stats_dict(compiled.stats)
-        assert np.array_equal(legacy.instance_cycles, compiled.instance_cycles)
-        assert np.array_equal(legacy.instance_events, compiled.instance_events)
+        oracle = reference.run_fleet(net, assignment, streams)
+        compiled = FleetSimulator(net, assignment).run(streams)
+        assert stats_dict(oracle.stats) == stats_dict(compiled.stats)
+        assert np.array_equal(oracle.instance_cycles, compiled.instance_cycles)
+        assert np.array_equal(oracle.instance_events, compiled.instance_events)
 
     def test_fleet_engines_identical_on_corpus(self):
         for spec in generate_corpus(12, seed=23):
@@ -254,15 +255,11 @@ class TestFleetEngines:
             streams = synthetic_streams(net, 4, 10, seed=spec.seed)
             kwargs = dict(max_firings_per_event=BUDGET, on_budget="stop")
             assignment = ModuleAssignment.single_task(net)
-            legacy = FleetSimulator(
-                net, assignment, engine="legacy", **kwargs
-            ).run(streams)
-            compiled = FleetSimulator(
-                net, assignment, engine="compiled", **kwargs
-            ).run(streams)
-            assert stats_dict(legacy.stats) == stats_dict(compiled.stats), spec
+            oracle = reference.run_fleet(net, assignment, streams, **kwargs)
+            compiled = FleetSimulator(net, assignment, **kwargs).run(streams)
+            assert stats_dict(oracle.stats) == stats_dict(compiled.stats), spec
             assert np.array_equal(
-                legacy.instance_cycles, compiled.instance_cycles
+                oracle.instance_cycles, compiled.instance_cycles
             ), spec
 
     def test_fleet_deterministic_under_fixed_seed(self):
@@ -301,13 +298,9 @@ class TestFleetEngines:
                 net, assignment, max_firings_per_event=8
             ).run(streams)
         kwargs = dict(max_firings_per_event=8, on_budget="stop")
-        legacy = FleetSimulator(net, assignment, engine="legacy", **kwargs).run(
-            streams
-        )
-        compiled = FleetSimulator(
-            net, assignment, engine="compiled", **kwargs
-        ).run(streams)
-        assert stats_dict(legacy.stats) == stats_dict(compiled.stats)
+        oracle = reference.run_fleet(net, assignment, streams, **kwargs)
+        compiled = FleetSimulator(net, assignment, **kwargs).run(streams)
+        assert stats_dict(oracle.stats) == stats_dict(compiled.stats)
         assert compiled.stats.budget_stops == 3
 
     def test_fleet_result_summaries(self):
@@ -342,12 +335,12 @@ class TestSdfEngines:
         return graph
 
     def test_schedule_identical(self):
-        legacy = static_schedule(self._chain(), engine="legacy")
-        compiled = static_schedule(self._chain(), engine="compiled")
-        assert compiled.sequence == legacy.sequence
-        assert compiled.buffer_bounds == legacy.buffer_bounds
-        assert compiled.repetition == legacy.repetition
-        assert compiled.cost == legacy.cost
+        sequence, bounds = reference.simulate_schedule(self._chain())
+        compiled = static_schedule(self._chain())
+        assert compiled.sequence == sequence
+        assert compiled.buffer_bounds == bounds
+        assert compiled.repetition == {"a": 3, "b": 2, "c": 1}
+        assert compiled.cost == 3 * 2 + 2 * 1 + 1 * 3
 
     def test_deadlock_identical(self):
         graph = SDFGraph("loop")
@@ -355,15 +348,15 @@ class TestSdfEngines:
         graph.add_actor("b")
         graph.add_edge("a", "b")
         graph.add_edge("b", "a")  # no initial tokens: deadlock
-        for engine in ("legacy", "compiled"):
+        for schedule in (reference.simulate_schedule, static_schedule):
             with pytest.raises(DeadlockError):
-                static_schedule(graph, engine=engine)
+                schedule(graph)
 
     def test_converted_gallery_net_identical(self, fig2):
         from repro.sdf import petri_to_sdf
 
         graph = petri_to_sdf(fig2)
-        legacy = static_schedule(graph, engine="legacy")
-        compiled = static_schedule(graph, engine="compiled")
-        assert compiled.sequence == legacy.sequence
-        assert compiled.buffer_bounds == legacy.buffer_bounds
+        sequence, bounds = reference.simulate_schedule(graph)
+        compiled = static_schedule(graph)
+        assert compiled.sequence == sequence
+        assert compiled.buffer_bounds == bounds

@@ -11,9 +11,10 @@ contents (aggregate stats dict, per-instance cycle and event vectors).
 
 The one-shot path itself is pinned against the *pre-refactor*
 semantics by `tests/test_runtime_compiled_differential.py`, which
-keeps requiring compiled == per-instance legacy; equality against the
-batch path here therefore chains all the way back to the original
-`ReactiveNetSimulator`.
+keeps requiring compiled == the per-instance reference oracle
+(`repro.reference.run_fleet`); equality against the batch path here
+therefore chains all the way back to the original string-keyed
+reactive simulator.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 The ISSUE 9 acceptance criterion: for a fixed seed, the timed and
 stochastic fleet is deterministic and **byte-identical across engines**
-— compiled vs legacy, the memoized cascade path vs the direct loop, the
-one-shot pool, and the async vs process shard backends of the always-on
-service.  Tick accounting is integer on purpose; these tests are the
-reason.
+— compiled vs the per-instance reference oracle
+(:func:`repro.reference.run_fleet`), the memoized cascade path vs the
+direct loop, the one-shot pool, and the async vs process shard
+backends of the always-on service.  Tick accounting is integer on
+purpose; these tests are the reason.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.apps import atm, heating, router
 from repro.runtime import (
     FleetSimulator,
@@ -87,14 +89,12 @@ def run_service(net, assignment, streams, timing, shards=2, backend="async"):
 
 class TestTimedEngineEquality:
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_compiled_equals_legacy(self, case):
+    def test_compiled_equals_reference(self, case):
         net, assignment, streams, timing = timed_case(case)
         compiled = FleetSimulator(net, assignment, timing=timing).run(streams)
-        legacy = FleetSimulator(
-            net, assignment, engine="legacy", timing=timing
-        ).run(streams)
+        oracle = reference.run_fleet(net, assignment, streams, timing=timing)
         assert compiled.stats.delay_ticks > 0
-        assert_results_identical(compiled, legacy)
+        assert_results_identical(compiled, oracle)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_memo_equals_direct(self, case):
@@ -182,6 +182,6 @@ class TestStochasticStreamsAcrossEngines:
             net, 10, 8, seed=9, arrival=arrival, choice_policy=policy
         )
         compiled = FleetSimulator(net, assignment).run(streams)
-        legacy = FleetSimulator(net, assignment, engine="legacy").run(streams)
+        oracle = reference.run_fleet(net, assignment, streams)
         assert compiled.stats.events_processed == 80
-        assert_results_identical(compiled, legacy)
+        assert_results_identical(compiled, oracle)
