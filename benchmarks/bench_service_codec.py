@@ -5,7 +5,12 @@ this bench pins where each representation stands:
 
 - **wire codec** (`encode_message`/`decode_message`): one JSON object
   per message, what socket clients speak.  Priced per event via
-  `InjectBatch` lines of `WIRE_BATCH` events.
+  `InjectBatch` lines of `WIRE_BATCH` events; a decoded line keeps its
+  events as `InjectColumns`.
+- **wire ingest** (`decode_message` + `FleetSupervisor.pack`): wire
+  line to `InjectBatchPacked` on a warm intern table — what the socket
+  server pays per event before routing, next to ``wire_decode`` and
+  ``pack_warm``.
 - **packed batches** (`FleetSupervisor.pack`): string events interned
   once at the ingest boundary into int64 id columns; ``unpack`` here is
   the shard-side consumption cost (row gather + round grouping) —
@@ -22,6 +27,7 @@ enforced end-to-end contract lives in ``bench_serve.py``.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -102,6 +108,13 @@ def run(instances: int, cells: int) -> list:
             "pack_warm", n, lambda: packed_box.append(supervisor.pack(injects))
         )
     )
+    rows.append(
+        _timed(
+            "wire_ingest",
+            n,
+            lambda: [supervisor.pack(decode_message(line).events) for line in lines],
+        )
+    )
     packed = packed_box[0]
     chunks = [
         packed.take(slice(lo, lo + WIRE_BATCH)) for lo in range(0, n, WIRE_BATCH)
@@ -150,6 +163,8 @@ def _smoke() -> int:
     print(f"smoke service_codec: rows recorded -> {path}")
     entry = {
         "instances": SMOKE_INSTANCES,
+        "events": rows[0]["events"],
+        "cpu_count": os.cpu_count(),
         **{row["codec"]: row["events_per_second"] for row in rows},
     }
     history = append_history("service_codec", entry)

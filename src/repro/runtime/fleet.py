@@ -55,7 +55,7 @@ import asyncio
 import operator
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -208,16 +208,21 @@ class SignatureTable:
             self._raw_index[raw] = sig_id
         return sig_id
 
-    def intern_events(self, events: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        """Intern events into (source id, signature id) int64 columns.
+    def intern_events(
+        self, sources: Iterable[str], choices: Iterable[Mapping[str, str]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Intern parallel source / choices columns into (source id,
+        signature id) int64 columns.
 
-        The package's one per-event interning loop: anything with
-        ``source`` and ``choices`` attributes (an
-        :class:`~repro.runtime.events.Event` or a service ``InjectEvent``)
-        costs one raw-cache hit in the steady state, because the
-        insertion-order ``choices.items()`` tuple doubles as the lookup
-        key and repeated resolutions skip the sort.  An unknown source
-        transition raises :class:`NotEnabledError`.
+        The package's one per-event interning loop.  Callers holding
+        event objects (an :class:`~repro.runtime.events.Event` or a
+        service ``InjectEvent``) pass ``map(attrgetter("source"), events)``
+        and ``map(attrgetter("choices"), events)``; the socket ingest
+        passes its decoded columns as they are.  Each event costs one
+        raw-cache hit in the steady state, because the insertion-order
+        ``choices.items()`` tuple doubles as the lookup key and repeated
+        resolutions skip the sort.  An unknown source transition raises
+        :class:`NotEnabledError`.
         """
         src_list: List[int] = []
         sig_list: List[int] = []
@@ -226,16 +231,13 @@ class SignatureTable:
         lookup_src = self.cnet.transition_index.get
         lookup_sig = self._raw_index.get
         intern_raw = self.intern_raw
-        for event in events:
-            t_id = lookup_src(event.source)
+        for source, chosen in zip(sources, choices):
+            t_id = lookup_src(source)
             if t_id is None:
-                raise NotEnabledError(
-                    f"unknown source transition {event.source!r}"
-                )
+                raise NotEnabledError(f"unknown source transition {source!r}")
             add_src(t_id)
-            choices = event.choices
-            if choices:
-                raw = tuple(choices.items())
+            if chosen:
+                raw = tuple(chosen.items())
                 sig_id = lookup_sig(raw)
                 if sig_id is None:
                     sig_id = intern_raw(raw)
@@ -651,7 +653,10 @@ class FleetEngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Intern a batch of events into (source id, signature id) columns
         through the kernel's :class:`SignatureTable`."""
-        return self.signatures.intern_events(events)
+        return self.signatures.intern_events(
+            map(operator.attrgetter("source"), events),
+            map(operator.attrgetter("choices"), events),
+        )
 
     # -- memoized path -------------------------------------------------
     def _flush_memo(self) -> None:
@@ -1043,7 +1048,10 @@ class FleetSimulator:
             timing=kernel.timing,
         )
         events, rows = _time_ordered(streams)
-        sources, signatures = supervisor.signatures.intern_events(events)
+        sources, signatures = supervisor.signatures.intern_events(
+            map(operator.attrgetter("source"), events),
+            map(operator.attrgetter("choices"), events),
+        )
         await supervisor.start()
         try:
             await supervisor.inject(

@@ -4,7 +4,8 @@ Layered on the :class:`~repro.runtime.fleet.FleetEngine` stepping
 kernel:
 
 - :mod:`~repro.service.messages` — frozen typed messages + the
-  versioned JSON wire codec every endpoint speaks, plus the internal
+  versioned JSON wire codec every endpoint speaks (a decoded inject
+  batch keeps its events as :class:`InjectColumns`), plus the internal
   zero-copy representations: :class:`InjectBatchPacked` (pre-interned
   int64 id columns) and the binary frame codec the process-backed
   shards speak over their pipes.
@@ -32,6 +33,7 @@ from .messages import (
     Ack,
     InjectBatch,
     InjectBatchPacked,
+    InjectColumns,
     InjectEvent,
     ProtocolError,
     Reload,
@@ -67,6 +69,7 @@ __all__ = [
     "Ack",
     "InjectBatch",
     "InjectBatchPacked",
+    "InjectColumns",
     "InjectEvent",
     "ProtocolError",
     "Reload",

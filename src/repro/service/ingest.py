@@ -7,9 +7,12 @@ Injects propagate the shard actors' backpressure naturally: the
 connection handler ``await``s the supervisor, so while shard inboxes
 are full the handler stops reading its socket, the kernel buffer and
 TCP window fill, and the *client* slows down — overload degrades to
-latency, never to unbounded server memory.  Malformed lines are
-answered with a ``not-ok`` :class:`~repro.service.messages.Ack`
-carrying the parse error; the connection stays up.
+latency, never to unbounded server memory.  A line that fails —
+malformed, refused by the strict decoder, naming an unknown source
+transition, or hitting a serving error — is answered with a ``not-ok``
+:class:`~repro.service.messages.Ack` carrying the error, and none of its
+events is applied; the connection stays up.  Only a line longer than
+:data:`STREAM_LIMIT` drops the connection.
 
 Two client flavours share one API surface (inject / snapshot / reload
 / shutdown): :class:`ServiceClient` speaks the codec over a socket
@@ -22,13 +25,16 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import logging
 from typing import List, Mapping, Optional, Sequence, Tuple
 
+from ..petrinet.exceptions import NotEnabledError
 from .messages import (
     Ack,
     InjectBatch,
     InjectBatchPacked,
     InjectEvent,
+    Message,
     ProtocolError,
     Reload,
     Shutdown,
@@ -38,6 +44,8 @@ from .messages import (
     encode_message,
 )
 from .supervisor import FleetSupervisor
+
+module_logger = logging.getLogger(__name__)
 
 #: Per-line stream buffer limit, both directions.  asyncio's 64 KiB
 #: default truncates a large :class:`InjectBatch` (one JSON line); a
@@ -89,53 +97,35 @@ class IngestServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # a single line exceeded STREAM_LIMIT: the stream cannot
+                    # be re-synchronized mid-line, so drop this connection
+                    break
                 if not line:
                     break
                 stripped = line.strip()
                 if not stripped:
                     continue
+                message = None
                 try:
                     message = decode_message(stripped)
-                except ProtocolError as error:
-                    await self._reply(writer, Ack(ok=False, error=str(error)))
-                    continue
-                if isinstance(message, (InjectEvent, InjectBatch)):
-                    # awaiting under backpressure pauses this reader —
-                    # that is the flow control
-                    await self.supervisor.inject(message)
-                elif isinstance(message, SnapshotRequest):
-                    reply = await self.supervisor.snapshot()
-                    await self._reply(
-                        writer,
-                        dataclasses.replace(
-                            reply, request_id=message.request_id
-                        ),
+                    reply = await self._serve(message)
+                except (ProtocolError, NotEnabledError) as error:
+                    # the client's line is at fault: refused whole
+                    reply = Ack(ok=False, error=str(error))
+                except Exception as error:
+                    # a serving failure: answer it and keep the connection
+                    module_logger.exception("ingest: serving a line failed")
+                    reply = Ack(
+                        request_id=getattr(message, "request_id", 0),
+                        ok=False,
+                        error=f"{type(error).__name__}: {error}",
                     )
-                elif isinstance(message, Reload):
-                    await self.supervisor.reload(
-                        reset_stats=message.reset_stats
-                    )
-                    await self._reply(writer, Ack())
-                elif isinstance(message, Shutdown):
-                    self.shutdown_drain = message.drain
-                    self.shutdown_requested.set()
-                    await self._reply(
-                        writer, Ack(request_id=message.request_id)
-                    )
-                else:
-                    await self._reply(
-                        writer,
-                        Ack(
-                            ok=False,
-                            error=f"unexpected message type {message.TYPE!r}",
-                        ),
-                    )
+                if reply is not None:
+                    await self._reply(writer, reply)
         except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        except ValueError:
-            # a single line exceeded STREAM_LIMIT: the stream cannot be
-            # re-synchronized mid-line, so drop this connection cleanly
             pass
         finally:
             writer.close()
@@ -143,6 +133,25 @@ class IngestServer:
                 await writer.wait_closed()
             except (ConnectionResetError, OSError):
                 pass
+
+    async def _serve(self, message: Message) -> Optional[Message]:
+        """Serve one decoded message; returns the reply to send, if any."""
+        if isinstance(message, (InjectEvent, InjectBatch)):
+            # awaiting under backpressure pauses this reader — that is
+            # the flow control
+            await self.supervisor.inject(message)
+            return None
+        if isinstance(message, SnapshotRequest):
+            reply = await self.supervisor.snapshot()
+            return dataclasses.replace(reply, request_id=message.request_id)
+        if isinstance(message, Reload):
+            await self.supervisor.reload(reset_stats=message.reset_stats)
+            return Ack()
+        if isinstance(message, Shutdown):
+            self.shutdown_drain = message.drain
+            self.shutdown_requested.set()
+            return Ack(request_id=message.request_id)
+        return Ack(ok=False, error=f"unexpected message type {message.TYPE!r}")
 
     @staticmethod
     async def _reply(writer: asyncio.StreamWriter, message) -> None:
@@ -214,8 +223,9 @@ class ServiceClient:
             await self._send(SnapshotRequest(request_id=request_id))
             reply = await self._recv()
         if not isinstance(reply, SnapshotReply):
+            detail = f": {reply.error}" if isinstance(reply, Ack) else ""
             raise ProtocolError(
-                f"expected snapshot_reply, got {reply.TYPE!r}"
+                f"expected snapshot_reply, got {reply.TYPE!r}{detail}"
             )
         return reply
 

@@ -6,9 +6,12 @@ the same protocol: frozen dataclass messages serialized as one JSON
 object per line, each carrying the :data:`WIRE_SCHEMA` version tag and
 a ``type`` discriminator.  The codec is total in both directions
 (``decode_message(encode_message(m)) == m``) and *strict*: unknown
-schemas, unknown types, missing or extra fields all raise
-:class:`ProtocolError` rather than guessing, so protocol drift between
-endpoints fails loudly at the boundary.
+schemas, unknown types, missing or extra fields, and inject fields of
+the wrong JSON type all raise :class:`ProtocolError` rather than
+guessing, so protocol drift between endpoints fails loudly at the
+boundary.  A decoded inject batch keeps its events as
+:class:`InjectColumns`, one column per field, which the supervisor
+interns without building an object per event.
 
 Request/response pairing uses the optional ``request_id`` carried by
 :class:`SnapshotRequest`/:class:`Shutdown` and echoed by the matching
@@ -39,7 +42,20 @@ import json
 import pickle
 import struct
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Type, Union
+from itertools import chain
+from operator import itemgetter
+from types import MappingProxyType
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+    overload,
+)
 
 import numpy as np
 
@@ -70,11 +86,89 @@ class InjectEvent:
     TYPE = "inject"
 
 
+#: ``choices`` of a wire event that names none (shared, so read-only).
+_NO_CHOICES: Mapping[str, str] = MappingProxyType({})
+
+
+class InjectColumns(Sequence[InjectEvent]):
+    """A read-only sequence of :class:`InjectEvent` kept as field columns.
+
+    What :func:`decode_message` puts in :attr:`InjectBatch.events`: the
+    validated wire events stored index-aligned, one column per field —
+    ``instances`` an int64 ndarray, ``sources``, ``times`` and
+    ``choices`` lists.  :meth:`~repro.service.FleetSupervisor.pack`
+    interns the columns directly, so the socket path builds no object
+    per event; indexing or iterating builds each :class:`InjectEvent`
+    on demand.  Equal to (and hashes like) the tuple of the same events.
+    """
+
+    __slots__ = ("instances", "sources", "times", "choices")
+
+    def __init__(
+        self,
+        instances: np.ndarray,
+        sources: List[str],
+        times: List[float],
+        choices: List[Mapping[str, str]],
+    ) -> None:
+        self.instances = instances
+        self.sources = sources
+        self.times = times
+        self.choices = choices
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    @overload
+    def __getitem__(self, index: int) -> InjectEvent: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "InjectColumns": ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return InjectColumns(
+                self.instances[index],
+                self.sources[index],
+                self.times[index],
+                self.choices[index],
+            )
+        return InjectEvent(
+            instance=int(self.instances[index]),
+            source=self.sources[index],
+            time=self.times[index],
+            choices=dict(self.choices[index]),
+        )
+
+    def __iter__(self):
+        for instance, source, time, choices in zip(
+            self.instances.tolist(), self.sources, self.times, self.choices
+        ):
+            yield InjectEvent(instance, source, time, dict(choices))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, InjectColumns)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"InjectColumns({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class InjectBatch:
-    """Dispatch many events in one message (amortizes codec + routing)."""
+    """Dispatch many events in one message (amortizes codec + routing).
 
-    events: Tuple[InjectEvent, ...]
+    Built by callers with a tuple of :class:`InjectEvent`; decoded from
+    the wire as an :class:`InjectColumns` view that compares equal to it.
+    """
+
+    events: Sequence[InjectEvent]
 
     TYPE = "inject_batch"
 
@@ -224,7 +318,7 @@ def _to_payload(message: Message) -> Dict[str, Any]:
     payload: Dict[str, Any] = {}
     for spec in fields(message):
         value = getattr(message, spec.name)
-        if isinstance(value, tuple):
+        if isinstance(value, (tuple, InjectColumns)):
             value = [_to_payload(item) if hasattr(item, "TYPE") else item for item in value]
         elif isinstance(value, Mapping):
             value = dict(value)
@@ -240,6 +334,88 @@ def encode_message(message: Message) -> str:
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
+#: Fields a wire event may carry.
+_EVENT_FIELDS = frozenset(spec.name for spec in fields(InjectEvent))
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_types(column: List[Any], types: Tuple[type, ...], rule: str) -> None:
+    """Raise :class:`ProtocolError` unless every value has one of ``types``.
+
+    Exact types, so a JSON ``true`` is not an integer.
+    """
+    if not set(map(type, column)).issubset(types):
+        position = next(
+            j for j, value in enumerate(column) if type(value) not in types
+        )
+        raise ProtocolError(
+            f"event {position}: {rule}, got {column[position]!r:.80}"
+        )
+
+
+def _inject_columns(events: Any) -> InjectColumns:
+    """Validate decoded wire events and keep their fields as columns.
+
+    The rules, each checked over a whole column at once: every event is
+    an object with no field beyond :class:`InjectEvent`'s; ``instance``
+    is a JSON integer inside int64 (not a bool); ``source`` is a string;
+    ``time`` (default ``0.0``) is a number; ``choices`` (default none)
+    is an object mapping strings to strings.  Any breach raises
+    :class:`ProtocolError`, so a batch is accepted or refused whole.
+    """
+    if type(events) is not list:
+        raise ProtocolError(f"'events' must be a JSON array, got {events!r:.80}")
+    _check_types(events, (dict,), "an event must be a JSON object")
+    extra = set(chain.from_iterable(events)).difference(_EVENT_FIELDS)
+    if extra:
+        raise ProtocolError(
+            f"unknown field(s) {sorted(extra)} for message type "
+            f"{InjectEvent.TYPE!r}"
+        )
+    try:
+        instances = list(map(itemgetter("instance"), events))
+        sources = list(map(itemgetter("source"), events))
+    except KeyError as missing:
+        raise ProtocolError(
+            f"bad payload for message type {InjectEvent.TYPE!r}: "
+            f"missing field {missing}"
+        ) from None
+    times = [event.get("time", 0.0) for event in events]
+    choices = [event.get("choices", _NO_CHOICES) for event in events]
+    _check_types(instances, (int,), "'instance' must be a JSON integer")
+    _check_types(sources, (str,), "'source' must be a string")
+    _check_types(times, (int, float), "'time' must be a number")
+    _check_types(
+        choices, (dict, MappingProxyType), "'choices' must be a JSON object"
+    )
+    # the only non-dict that passed is the empty default, which filter drops
+    values = chain.from_iterable(map(dict.values, filter(None, choices)))
+    if not set(map(type, values)).issubset((str,)):
+        position = next(
+            j
+            for j, chosen in enumerate(choices)
+            if any(type(value) is not str for value in chosen.values())
+        )
+        raise ProtocolError(
+            f"event {position}: 'choices' must map strings to strings, "
+            f"got {choices[position]!r:.80}"
+        )
+    try:
+        column = np.array(instances, dtype=np.int64)
+    except OverflowError:
+        position = next(
+            j
+            for j, value in enumerate(instances)
+            if not _INT64.min <= value <= _INT64.max
+        )
+        raise ProtocolError(
+            f"event {position}: 'instance' {instances[position]!r:.80} is "
+            f"outside int64"
+        ) from None
+    column.flags.writeable = False
+    return InjectColumns(column, sources, times, choices)
+
+
 def _from_payload(cls: Type[Any], payload: Mapping[str, Any]) -> Any:
     names = {spec.name for spec in fields(cls)}
     extra = set(payload) - names
@@ -248,12 +424,10 @@ def _from_payload(cls: Type[Any], payload: Mapping[str, Any]) -> Any:
             f"unknown field(s) {sorted(extra)} for message type {cls.TYPE!r}"
         )
     kwargs = dict(payload)
+    if cls is InjectBatch and "events" in kwargs:
+        kwargs["events"] = _inject_columns(kwargs["events"])
     try:
-        if cls is InjectBatch:
-            kwargs["events"] = tuple(
-                _from_payload(InjectEvent, item) for item in kwargs.get("events", ())
-            )
-        elif cls is SnapshotReply:
+        if cls is SnapshotReply:
             kwargs["shards"] = tuple(
                 _from_payload(ShardStats, item) for item in kwargs.get("shards", ())
             )
@@ -282,6 +456,8 @@ def decode_message(line: Union[str, bytes]) -> Message:
     cls = MESSAGE_TYPES.get(kind)
     if cls is None:
         raise ProtocolError(f"unknown message type {kind!r}")
+    if cls is InjectEvent:
+        return _inject_columns([payload])[0]
     return _from_payload(cls, payload)
 
 

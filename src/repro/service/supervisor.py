@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -70,6 +71,7 @@ from .messages import (
     Ack,
     InjectBatch,
     InjectBatchPacked,
+    InjectColumns,
     InjectEvent,
     ProtocolError,
     Reload,
@@ -251,18 +253,30 @@ class FleetSupervisor:
 
         The *only* place the service touches event strings: sources and
         choice resolutions intern through the shared table's
-        :meth:`~repro.runtime.fleet.SignatureTable.intern_events`.  In the
-        steady state every lookup is a dict hit; the returned ndarray
-        batch flows through routing, inboxes and kernels zero-copy.
-        Unknown source transitions fail here, at the boundary, rather
-        than inside a shard's actor loop.
+        :meth:`~repro.runtime.fleet.SignatureTable.intern_events`.  A
+        decoded wire batch (:class:`~repro.service.messages.InjectColumns`)
+        hands over its validated columns as they are, so the socket path
+        builds no per-event object; any other sequence of injects is read
+        field by field.  In the steady state every lookup is a dict hit;
+        the returned ndarray batch flows through routing, inboxes and
+        kernels zero-copy.  Unknown source transitions fail here, at the
+        boundary, before any event of the batch is routed.
         """
-        sources, signatures = self.signatures.intern_events(events)
-        instances = np.fromiter(
-            (event.instance for event in events),
-            dtype=np.int64,
-            count=len(events),
-        )
+        if isinstance(events, InjectColumns):
+            sources, signatures = self.signatures.intern_events(
+                events.sources, events.choices
+            )
+            instances = events.instances
+        else:
+            sources, signatures = self.signatures.intern_events(
+                map(attrgetter("source"), events),
+                map(attrgetter("choices"), events),
+            )
+            instances = np.fromiter(
+                map(attrgetter("instance"), events),
+                dtype=np.int64,
+                count=len(events),
+            )
         return InjectBatchPacked(
             instances=instances, sources=sources, signatures=signatures
         )

@@ -32,7 +32,6 @@ from repro.service import (
     IngestServer,
     InjectBatch,
     InjectBatchPacked,
-    InjectEvent,
     ShardActor,
     Shutdown,
     SnapshotReply,
@@ -53,9 +52,7 @@ def atm_workload(instances=48, cells=4, seed=23):
 
 def packed_tick(engine, instance):
     """One ``t_tick`` event for ``instance``, interned with the engine's table."""
-    sources, signatures = engine.signatures.intern_events(
-        [InjectEvent(instance=instance, source="t_tick")]
-    )
+    sources, signatures = engine.signatures.intern_events(["t_tick"], [{}])
     return InjectBatchPacked(
         instances=np.array([instance], dtype=np.int64),
         sources=sources,

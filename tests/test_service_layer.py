@@ -63,6 +63,13 @@ ATM = build_atm_server_net()
 ASSIGNMENT = ModuleAssignment.from_groups(MODULE_PARTITION)
 
 
+def _hash_or_error(message):
+    try:
+        return hash(message)
+    except TypeError as error:  # a dict-valued field makes it unhashable
+        return str(error)
+
+
 class TestWireCodec:
     MESSAGES = [
         InjectEvent(instance=7, source="t_cell", time=1.5, choices={"p": "t"}),
@@ -70,6 +77,15 @@ class TestWireCodec:
             events=(
                 InjectEvent(instance=0, source="t_tick"),
                 InjectEvent(instance=1, source="t_cell", choices={"a": "b"}),
+            )
+        ),
+        InjectBatch(events=()),
+        InjectBatch(
+            events=(
+                InjectEvent(instance=-(2**63), source="t_tick", time=3),
+                InjectEvent(
+                    instance=2**63 - 1, source="t_cell", choices={"b": "x", "a": "y"}
+                ),
             )
         ),
         SnapshotRequest(request_id=3),
@@ -112,6 +128,53 @@ class TestWireCodec:
         assert json.loads(line)["schema"] == WIRE_SCHEMA
         assert decode_message(line) == message
         assert decode_message(line.encode()) == message
+        # a decoded inject batch holds columns, not a tuple: equality
+        # runs both ways and hashing behaves as for the tuple form
+        decoded = decode_message(line)
+        assert message == decoded and not decoded != message
+        assert decode_message(encode_message(decoded)) == decoded
+        assert _hash_or_error(decoded) == _hash_or_error(message)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("instance", 1.7),
+            ("instance", "5"),
+            ("instance", True),
+            ("instance", None),
+            ("instance", 2**63),
+            ("instance", -(2**63) - 1),
+            ("source", 5),
+            ("source", None),
+            ("time", "1"),
+            ("time", False),
+            ("time", None),
+            ("choices", [1, 2]),
+            ("choices", "p"),
+            ("choices", None),
+            ("choices", {"p": 1}),
+            ("choices", {"p": None}),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["inject", "inject_batch"])
+    def test_rejects_ill_typed_event_fields(self, kind, field, value):
+        event = {"instance": 1, "source": "t_cell", "time": 0.5, "choices": {"p": "t"}}
+        event[field] = value
+        if kind == "inject":
+            payload = {"schema": WIRE_SCHEMA, "type": kind, **event}
+        else:
+            good = {"instance": 0, "source": "t_tick", "time": 0.0, "choices": {}}
+            payload = {"schema": WIRE_SCHEMA, "type": kind, "events": [good, event]}
+        with pytest.raises(ProtocolError, match=field):
+            decode_message(json.dumps(payload))
+
+    def test_rejects_a_batch_whose_events_are_not_an_array_of_objects(self):
+        for events in ({"instance": 1}, "t_cell", [3], None):
+            line = json.dumps(
+                {"schema": WIRE_SCHEMA, "type": "inject_batch", "events": events}
+            )
+            with pytest.raises(ProtocolError):
+                decode_message(line)
 
     def test_rejects_invalid_json(self):
         with pytest.raises(ProtocolError, match="not valid JSON"):
@@ -310,9 +373,7 @@ class TestBinaryFrames:
 
 def packed_tick(engine, instance):
     """One ``t_tick`` event for ``instance``, interned with the engine's table."""
-    sources, signatures = engine.signatures.intern_events(
-        [InjectEvent(instance=instance, source="t_tick")]
-    )
+    sources, signatures = engine.signatures.intern_events(["t_tick"], [{}])
     return InjectBatchPacked(
         instances=np.array([instance], dtype=np.int64),
         sources=sources,
